@@ -157,7 +157,7 @@ func benchCPSandboxTransitions(b *testing.B, shards int, policy wal.FsyncPolicy,
 	cp := controlplane.New(controlplane.Config{
 		Addr:        "cp-bench",
 		Transport:   tr,
-		DB:          db,
+		LocalStore:  db,
 		StateShards: shards,
 		// Loops parked: the benchmark drives transitions directly.
 		AutoscaleInterval:   time.Hour,
@@ -840,16 +840,15 @@ func BenchmarkAblationRelayHeartbeat(b *testing.B) {
 	}
 }
 
-// --- Predictive warmth: per-image prewarm pools × cache-aware placement ---
+// --- Warmth: static prewarm pools × cache-aware placement ---
 
-// BenchmarkAblationPredictiveWarmth smoke-runs the warmth experiment's
-// four-arm ablation ({static, predictive} prewarm × {kube-default,
-// cache-aware} placement) at tiny scale: a compressed Azure-like trace
-// replayed against the live in-process cluster. The full-scale run commits
-// its rows to BENCH_warmth.json; this keeps the harness and the whole
-// predictor → target push → pool partition → cache-digest placement path
-// from rotting.
-func BenchmarkAblationPredictiveWarmth(b *testing.B) {
+// BenchmarkAblationWarmthPlacement smoke-runs the warmth experiment's two
+// arms (static prewarm pools under kube-default and cache-aware
+// placement) at tiny scale: a compressed Azure-like trace replayed
+// against the live in-process cluster. The full-scale run commits its
+// rows to BENCH_warmth.json; this keeps the harness and the pool claim →
+// cache-digest heartbeat → cache-aware placement path from rotting.
+func BenchmarkAblationWarmthPlacement(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := experiments.Run(io.Discard, "warmth", 0.05); err != nil {
 			b.Fatal(err)
@@ -882,11 +881,7 @@ func BenchmarkAblationCPReplication(b *testing.B) {
 					Transport:         tr,
 					AutoscaleInterval: time.Hour, // idle the control loops
 					HeartbeatTimeout:  time.Hour,
-				}
-				if replicas > 1 {
-					cfg.LocalStore = store.NewMemory()
-				} else {
-					cfg.DB = store.NewMemory()
+					LocalStore:        store.NewMemory(),
 				}
 				cps[i] = controlplane.New(cfg)
 				if err := cps[i].Start(); err != nil {

@@ -19,7 +19,6 @@ import (
 
 	"dirigent/internal/controlplane"
 	"dirigent/internal/placement"
-	"dirigent/internal/predictor"
 	"dirigent/internal/store"
 	"dirigent/internal/transport"
 	"dirigent/internal/wal"
@@ -44,10 +43,6 @@ func main() {
 	persistAll := flag.Bool("persist-sandbox-state", false, "ablation: persist sandbox state on the critical path")
 	placementName := flag.String("placement", "kube-default",
 		"placement policy: kube-default | cache-aware (kube scoring plus a bonus for nodes whose image cache already holds the function's image) | random | round-robin | hermod")
-	predictive := flag.Bool("predictive-prewarm", false,
-		"partition each worker's pre-warm budget across per-image pools sized by the trace-driven demand predictor (off = workers keep their whole budget on the generic base image)")
-	prewarmWindow := flag.Duration("prewarm-window", 0, "demand predictor averaging window (0 = default 1m)")
-	prewarmLead := flag.Duration("prewarm-lead", 0, "how far ahead of a predicted burst per-image pools are raised (0 = default 30s)")
 	asyncLease := flag.Bool("async-lease", true, "lease a pruned durable data plane's async queue records to surviving replicas (false = ablation: records wait for the replica to restart)")
 	followerReads := flag.Bool("follower-reads", true,
 		"with -peers, let follower replicas serve read-only RPCs (ListDataPlanes, ListFunctions) from their applied store behind a leader-lease check, offloading the leader to writes only")
@@ -108,8 +103,7 @@ func main() {
 		FullScanEvery:       *fullScanEvery,
 		PersistSandboxState: *persistAll,
 		Placer:              placer,
-		PredictivePrewarm:   *predictive,
-		Predictor:           predictor.Config{Window: *prewarmWindow, Lead: *prewarmLead},
+		LocalStore:          db,
 		AsyncLeaseDisabled:  !*asyncLease,
 		// TCP deployments need wider election windows than in-process.
 		RaftHeartbeat:   50 * time.Millisecond,
@@ -117,14 +111,11 @@ func main() {
 		RaftElectionMax: 300 * time.Millisecond,
 	}
 	if len(peerList) > 1 {
-		// Replicated-log regime: this replica's store holds its applied
-		// state; durable writes are proposed to the Raft log and each
-		// replica recovers from its own store after a failover.
-		cfg.LocalStore = db
+		// The store holds this replica's applied Raft state; durable
+		// writes are proposed to the log and each replica recovers from
+		// its own store after a failover.
 		cfg.FollowerReads = *followerReads
 		cfg.RaftRejoin = *rejoin
-	} else {
-		cfg.DB = db
 	}
 	cp := controlplane.New(cfg)
 	if err := cp.Start(); err != nil {

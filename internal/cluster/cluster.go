@@ -20,7 +20,6 @@ import (
 	"dirigent/internal/dataplane"
 	"dirigent/internal/frontend"
 	"dirigent/internal/placement"
-	"dirigent/internal/predictor"
 	"dirigent/internal/proto"
 	"dirigent/internal/sandbox"
 	"dirigent/internal/store"
@@ -65,15 +64,8 @@ type Options struct {
 	WorkerMemMB    int
 	// Placer overrides the placement policy.
 	Placer placement.Policy
-	// Prewarm is each worker's pre-warm pool budget (0 disables pools).
+	// Prewarm is each worker's pre-warm pool size (0 disables pools).
 	Prewarm int
-	// PredictivePrewarm turns on the control plane's demand predictor,
-	// which partitions each worker's Prewarm budget across the hot images
-	// it forecasts. Off, the whole budget warms the generic base image
-	// (the seed's static pool).
-	PredictivePrewarm bool
-	// Predictor tunes the demand predictor (zero values select defaults).
-	Predictor predictor.Config
 	// Seed seeds all stochastic models.
 	Seed int64
 	// PrefetchImages pre-caches these images on every worker, matching
@@ -271,13 +263,11 @@ func (c *Cluster) newControlPlane(i int, rejoin bool) *controlplane.ControlPlane
 		PersistSandboxState: opts.PersistSandboxState,
 		StateShards:         opts.StateShards,
 		Placer:              opts.Placer,
-		PredictivePrewarm:   opts.PredictivePrewarm,
-		Predictor:           opts.Predictor,
 		AsyncLeaseDisabled:  opts.AsyncLeaseDisabled,
+		LocalStore:          c.stores[i],
 		Metrics:             c.Metrics,
 	}
 	if len(c.cpAddrs) > 1 {
-		cfg.LocalStore = c.stores[i]
 		cfg.FollowerReads = opts.CPFollowerReads
 		cfg.RaftRejoin = rejoin
 		// The default read lease equals the election-timeout floor (8 ms
@@ -286,8 +276,6 @@ func (c *Cluster) newControlPlane(i int, rejoin bool) *controlplane.ControlPlane
 		// keeps staleness bounded well below the worker heartbeat windows
 		// while letting followers actually absorb the read path.
 		cfg.ReadLease = 50 * time.Millisecond
-	} else {
-		cfg.DB = c.stores[i]
 	}
 	return controlplane.New(cfg)
 }

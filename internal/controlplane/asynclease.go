@@ -76,7 +76,7 @@ func unmarshalAsyncInfo(b []byte) (durable bool, hashes []string) {
 // issuance runs second also holds the higher epoch.
 func (cp *ControlPlane) nextAsyncEpoch() uint64 {
 	var prev uint64
-	if b, ok := cp.cfg.DB.HGetAll(hashMeta)[fieldAsyncEpoch]; ok && len(b) == 8 {
+	if b, ok := cp.db.HGetAll(hashMeta)[fieldAsyncEpoch]; ok && len(b) == 8 {
 		for i := 0; i < 8; i++ {
 			prev |= uint64(b[i]) << (8 * i)
 		}
@@ -86,7 +86,7 @@ func (cp *ControlPlane) nextAsyncEpoch() uint64 {
 	for i := 0; i < 8; i++ {
 		buf[i] = byte(next >> (8 * i))
 	}
-	_ = cp.cfg.DB.HSet(hashMeta, fieldAsyncEpoch, buf)
+	_ = cp.db.HSet(hashMeta, fieldAsyncEpoch, buf)
 	return next
 }
 

@@ -30,9 +30,9 @@ func TestConcurrentBatchedScalePath(t *testing.T) {
 	tr := transport.NewInProc()
 	db := store.NewMemory()
 	cp := New(Config{
-		Addr:      "cpb0",
-		Transport: tr,
-		DB:        db,
+		Addr:       "cpb0",
+		Transport:  tr,
+		LocalStore: db,
 		// Sweeps are driven explicitly below; park the tickers.
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Hour,
@@ -175,7 +175,7 @@ func TestCreateBatchAblationSeedParity(t *testing.T) {
 			cp := New(Config{
 				Addr:              "cpp0",
 				Transport:         tr,
-				DB:                store.NewMemory(),
+				LocalStore:        store.NewMemory(),
 				AutoscaleInterval: time.Hour,
 				HeartbeatTimeout:  time.Hour,
 				CreateBatch:       tc.createBatch,

@@ -35,7 +35,6 @@ import (
 	"dirigent/internal/clock"
 	"dirigent/internal/core"
 	"dirigent/internal/placement"
-	"dirigent/internal/predictor"
 	"dirigent/internal/proto"
 	"dirigent/internal/raft"
 	"dirigent/internal/store"
@@ -43,9 +42,10 @@ import (
 	"dirigent/internal/transport"
 )
 
-// DB is the persistence interface the control plane requires; both
-// store.Store and store.Replicated satisfy it.
-type DB interface {
+// db is the persistence interface the control plane writes through:
+// *store.Store for a single replica, replicatedDB (the Raft log in front
+// of the replica's own store) with several peers.
+type db interface {
 	HSet(hash, field string, value []byte) error
 	HDel(hash, field string) error
 	HGetAll(hash string) map[string][]byte
@@ -78,10 +78,6 @@ type Config struct {
 	Peers []string
 	// Transport carries all RPCs.
 	Transport transport.Transport
-	// DB is the replicated persistent store. Open it with
-	// wal.FsyncGroup to group-commit the control plane's durable writes,
-	// or wal.FsyncAlways for the paper's fsync-per-mutation baseline.
-	DB DB
 	// Clock abstracts time.
 	Clock clock.Clock
 	// StateShards is the number of locks striping the function state
@@ -151,18 +147,6 @@ type Config struct {
 	// nodes whose heartbeat-reported cache digest already holds the
 	// image; the default stays locality-blind (the seed-parity ablation).
 	Placer placement.Policy
-	// PredictivePrewarm turns the workers' static pre-warm pools into
-	// demand-driven ones: the reconciler feeds every staged creation into
-	// the per-image demand predictor and pushes per-image pool targets to
-	// workers, piggybacked on the autoscale sweep (one PrewarmTargets RPC
-	// per worker, only when its acknowledged generation is stale). Off
-	// (the default) keeps the seed's static base-image pools exactly.
-	PredictivePrewarm bool
-	// Predictor tunes the demand estimator when PredictivePrewarm is on;
-	// zero fields select predictor defaults (1-minute windows, 20 s
-	// lead). Experiments that compress wall time scale Window and Lead by
-	// the same factor as the trace timestamps.
-	Predictor predictor.Config
 	// Metrics receives control plane telemetry.
 	Metrics *telemetry.Registry
 	// RaftHeartbeat / RaftElectionMin / RaftElectionMax tune leader
@@ -171,13 +155,14 @@ type Config struct {
 	RaftHeartbeat   time.Duration
 	RaftElectionMin time.Duration
 	RaftElectionMax time.Duration
-	// LocalStore, set together with multiple Peers, selects the
-	// replicated-log HA regime: every durable write is proposed to the
-	// Raft log and each replica applies committed batches to this, its
-	// own store (DB is then managed internally and must be left nil). A
-	// promoted follower recovers from its own applied state — no shared
-	// store, no cold replay. With a single peer, LocalStore simply backs
-	// DB directly (seed-exact single-node behavior).
+	// LocalStore is this replica's persistent store; Start fails without
+	// one. A single replica writes it directly. With several Peers it
+	// holds the Raft log's applied state: every durable write is proposed
+	// to the log, and each replica applies committed batches to its own
+	// LocalStore, so a promoted follower recovers from its own state with
+	// no shared store and no cold replay. Open it with wal.FsyncGroup to
+	// group-commit durable writes, or wal.FsyncAlways for the paper's
+	// fsync-per-mutation baseline.
 	LocalStore *store.Store
 	// FollowerReads lets non-leader replicas serve read-only RPCs
 	// (ListDataPlanes, ListFunctions) from their applied store while
@@ -306,11 +291,6 @@ type workerState struct {
 	// healthy); crash-failed entries are garbage-collected once it is
 	// older than Config.DeadWorkerGC.
 	failedAt time.Time
-	// prewarmGen is the generation of the last pre-warm target push this
-	// worker acknowledged. Re-registration replaces the entry wholesale,
-	// resetting it to zero — so a worker daemon that restarted mid-push
-	// (losing its in-memory targets) is re-pushed on the next sweep.
-	prewarmGen uint64
 }
 
 // ControlPlane is one control plane replica.
@@ -321,6 +301,9 @@ type ControlPlane struct {
 
 	raftNode *raft.Node // nil in single-node mode
 	listener transport.Listener
+	// db receives every durable write: LocalStore itself, or the Raft
+	// log in front of it (set by Start).
+	db db
 
 	// Function state, striped across shards (see shards.go).
 	shards []*functionShard
@@ -356,14 +339,11 @@ type ControlPlane struct {
 	asyncLeaseMu sync.Mutex
 	asyncLeases  map[core.DataPlaneID]*asyncLeaseState
 
-	// Predictive pre-warm state (pred is nil unless enabled). The current
-	// target set and its generation are recomputed after each reconcile
-	// sweep under prewarmMu; workers are pushed asynchronously when their
-	// acknowledged generation is stale.
-	pred       *predictor.Predictor
-	prewarmMu  sync.Mutex
-	prewarmGen uint64
-	prewarmSet []proto.PrewarmTarget
+	// fnListMu makes minting a function list's version and taking its
+	// snapshot one step, so a higher version never carries an older
+	// snapshot (see functionList).
+	fnListMu  sync.Mutex
+	fnListSeq uint64
 
 	// Cluster-wide scalars, off any lock.
 	nextSandboxID atomic.Uint64
@@ -417,9 +397,6 @@ func New(cfg Config) *ControlPlane {
 		suspects:    make(map[core.NodeID]struct{}),
 		stopCh:      make(chan struct{}),
 	}
-	if cfg.PredictivePrewarm {
-		cp.pred = predictor.New(cfg.Predictor)
-	}
 	cp.mSandboxReady = cp.metrics.Histogram("sandbox_ready_ms")
 	cp.mShardWait = cp.metrics.Histogram("shard_lock_wait_ms")
 	cp.mShardContended = cp.metrics.Counter("shard_lock_contended")
@@ -448,6 +425,10 @@ func New(cfg Config) *ControlPlane {
 // Start begins serving RPCs and, in HA mode, participating in leader
 // election. In single-node mode the replica becomes leader immediately.
 func (cp *ControlPlane) Start() error {
+	if cp.cfg.LocalStore == nil {
+		return fmt.Errorf("control plane %s: no LocalStore", cp.cfg.Addr)
+	}
+	cp.db = cp.cfg.LocalStore
 	if len(cp.cfg.Peers) > 1 {
 		rc := raft.Config{
 			ID:                 cp.cfg.Addr,
@@ -459,17 +440,13 @@ func (cp *ControlPlane) Start() error {
 			OnLeaderChange:     cp.onLeaderChange,
 			Clock:              cp.clk,
 			Rejoin:             cp.cfg.RaftRejoin,
+			Apply:              cp.applyReplicated,
+			ReadLease:          cp.cfg.ReadLease,
 		}
-		if cp.cfg.LocalStore != nil {
-			// Replicated-log regime: durable writes go through the Raft
-			// log; this replica's store holds the applied state.
-			rc.Apply = cp.applyReplicated
-			rc.ReadLease = cp.cfg.ReadLease
-			cp.cfg.DB = &replicatedDB{cp: cp}
-		}
+		// Durable writes go through the Raft log; LocalStore holds the
+		// applied state.
+		cp.db = &replicatedDB{cp: cp}
 		cp.raftNode = raft.NewNode(rc)
-	} else if cp.cfg.DB == nil && cp.cfg.LocalStore != nil {
-		cp.cfg.DB = cp.cfg.LocalStore
 	}
 	ln, err := cp.cfg.Transport.Listen(cp.cfg.Addr, cp.handleRPC)
 	if err != nil {
@@ -546,7 +523,7 @@ func (cp *ControlPlane) onLeaderChange(isLeader bool, _ uint64) {
 // invocation critical path.
 func (cp *ControlPlane) nextEpoch() uint64 {
 	var prev uint64
-	if b, ok := cp.cfg.DB.HGetAll(hashMeta)[fieldEpoch]; ok && len(b) == 8 {
+	if b, ok := cp.db.HGetAll(hashMeta)[fieldEpoch]; ok && len(b) == 8 {
 		for i := 0; i < 8; i++ {
 			prev |= uint64(b[i]) << (8 * i)
 		}
@@ -556,7 +533,7 @@ func (cp *ControlPlane) nextEpoch() uint64 {
 	for i := 0; i < 8; i++ {
 		buf[i] = byte(next >> (8 * i))
 	}
-	_ = cp.cfg.DB.HSet(hashMeta, fieldEpoch, buf)
+	_ = cp.db.HSet(hashMeta, fieldEpoch, buf)
 	return next
 }
 
@@ -572,7 +549,7 @@ func (cp *ControlPlane) recover() {
 	cp.forEachShard(func(sh *functionShard) {
 		sh.fns = make(map[string]*functionState)
 	})
-	for _, b := range cp.cfg.DB.HGetAll(hashFunctions) {
+	for _, b := range cp.db.HGetAll(hashFunctions) {
 		if f, err := core.UnmarshalFunction(b); err == nil {
 			sh := cp.shardFor(f.Name)
 			cp.lockShard(sh)
@@ -583,7 +560,7 @@ func (cp *ControlPlane) recover() {
 	now := cp.clk.Now()
 	workers := cp.rebuildWorkers(func() []*workerState {
 		var out []*workerState
-		for _, b := range cp.cfg.DB.HGetAll(hashWorkers) {
+		for _, b := range cp.db.HGetAll(hashWorkers) {
 			if w, err := core.UnmarshalWorkerNode(b); err == nil {
 				out = append(out, &workerState{
 					node:    *w,
@@ -595,10 +572,10 @@ func (cp *ControlPlane) recover() {
 		}
 		return out
 	})
-	asyncInfo := cp.cfg.DB.HGetAll(hashDPAsync)
+	asyncInfo := cp.db.HGetAll(hashDPAsync)
 	cp.dpMu.Lock()
 	cp.dataplanes = make(map[core.DataPlaneID]*dataPlaneState)
-	for _, b := range cp.cfg.DB.HGetAll(hashDataPlanes) {
+	for _, b := range cp.db.HGetAll(hashDataPlanes) {
 		if p, err := core.UnmarshalDataPlane(b); err == nil {
 			st := &dataPlaneState{
 				dp:      *p,
@@ -760,7 +737,7 @@ func (cp *ControlPlane) handleRegisterFunction(payload []byte) ([]byte, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	if err := cp.cfg.DB.HSet(hashFunctions, f.Name, core.MarshalFunction(f)); err != nil {
+	if err := cp.db.HSet(hashFunctions, f.Name, core.MarshalFunction(f)); err != nil {
 		return nil, fmt.Errorf("register function %s: persist: %w", f.Name, err)
 	}
 	sh := cp.shardFor(f.Name)
@@ -781,7 +758,7 @@ func (cp *ControlPlane) handleDeregisterFunction(payload []byte) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	if err := cp.cfg.DB.HDel(hashFunctions, f.Name); err != nil {
+	if err := cp.db.HDel(hashFunctions, f.Name); err != nil {
 		return nil, err
 	}
 	sh := cp.shardFor(f.Name)
@@ -807,7 +784,7 @@ func (cp *ControlPlane) handleRegisterWorker(payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	w := req.Worker
-	if err := cp.cfg.DB.HSet(hashWorkers, w.Name, core.MarshalWorkerNode(&w)); err != nil {
+	if err := cp.db.HSet(hashWorkers, w.Name, core.MarshalWorkerNode(&w)); err != nil {
 		return nil, fmt.Errorf("register worker %s: persist: %w", w.Name, err)
 	}
 	cp.putWorker(&workerState{
@@ -825,7 +802,7 @@ func (cp *ControlPlane) handleDeregisterWorker(payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cp.cfg.DB.HDel(hashWorkers, req.Worker.Name); err != nil {
+	if err := cp.db.HDel(hashWorkers, req.Worker.Name); err != nil {
 		return nil, err
 	}
 	cp.failWorker(req.Worker.ID)
@@ -866,7 +843,7 @@ func (cp *ControlPlane) handleRegisterDataPlane(payload []byte) ([]byte, error) 
 		return nil, err
 	}
 	p := req.DataPlane
-	if err := cp.cfg.DB.HSet(hashDataPlanes, fmt.Sprintf("%d", p.ID), core.MarshalDataPlane(&p)); err != nil {
+	if err := cp.db.HSet(hashDataPlanes, fmt.Sprintf("%d", p.ID), core.MarshalDataPlane(&p)); err != nil {
 		return nil, fmt.Errorf("register data plane %d: persist: %w", p.ID, err)
 	}
 	// A re-registration of a replica the health monitor had failed is a
@@ -881,7 +858,7 @@ func (cp *ControlPlane) handleRegisterDataPlane(payload []byte) ([]byte, error) 
 		}
 	}
 	if req.Durable {
-		if err := cp.cfg.DB.HSet(hashDPAsync, fmt.Sprintf("%d", p.ID), marshalAsyncInfo(req.Durable, req.AsyncHashes)); err != nil {
+		if err := cp.db.HSet(hashDPAsync, fmt.Sprintf("%d", p.ID), marshalAsyncInfo(req.Durable, req.AsyncHashes)); err != nil {
 			return nil, fmt.Errorf("register data plane %d: persist async info: %w", p.ID, err)
 		}
 	}
@@ -903,10 +880,10 @@ func (cp *ControlPlane) handleDeregisterDataPlane(payload []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	if err := cp.cfg.DB.HDel(hashDataPlanes, fmt.Sprintf("%d", req.DataPlane.ID)); err != nil {
+	if err := cp.db.HDel(hashDataPlanes, fmt.Sprintf("%d", req.DataPlane.ID)); err != nil {
 		return nil, err
 	}
-	_ = cp.cfg.DB.HDel(hashDPAsync, fmt.Sprintf("%d", req.DataPlane.ID))
+	_ = cp.db.HDel(hashDPAsync, fmt.Sprintf("%d", req.DataPlane.ID))
 	cp.dpMu.Lock()
 	delete(cp.dataplanes, req.DataPlane.ID)
 	cp.dpMu.Unlock()
@@ -1012,7 +989,7 @@ func (cp *ControlPlane) handleSandboxCrashed(payload []byte) ([]byte, error) {
 		delete(fs.sandboxes, ev.SandboxID)
 	})
 	if cp.cfg.PersistSandboxState {
-		_ = cp.cfg.DB.HDel(hashSandboxes, fmt.Sprintf("%d", ev.SandboxID))
+		_ = cp.db.HDel(hashSandboxes, fmt.Sprintf("%d", ev.SandboxID))
 	}
 	cp.metrics.Counter("sandbox_crashes").Inc()
 	cp.broadcastEndpoints(ev.Function)
@@ -1061,5 +1038,5 @@ func (cp *ControlPlane) functionNames() []string {
 func (cp *ControlPlane) persistSandbox(ev *proto.SandboxEvent) {
 	sb := core.Sandbox{ID: ev.SandboxID, Function: ev.Function, Node: ev.Node}
 	rec := core.MarshalSandboxRecord(&sb)
-	_ = cp.cfg.DB.HSet(hashSandboxes, fmt.Sprintf("%d", ev.SandboxID), rec[:])
+	_ = cp.db.HSet(hashSandboxes, fmt.Sprintf("%d", ev.SandboxID), rec[:])
 }

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -141,12 +142,14 @@ func (w *fakeWorker) reportReady(id core.SandboxID, fn string) {
 }
 
 // fakeDP records endpoint updates and function pushes, discarding stale
-// (reordered) updates by version like the real data plane.
+// (reordered) updates and function lists by version like the real data
+// plane.
 type fakeDP struct {
-	mu        sync.Mutex
-	functions map[string]bool
-	endpoints map[string][]proto.SandboxInfo
-	versions  map[string]uint64
+	mu          sync.Mutex
+	functions   map[string]bool
+	listVersion uint64
+	endpoints   map[string][]proto.SandboxInfo
+	versions    map[string]uint64
 }
 
 func startFakeDP(t *testing.T, tr *transport.InProc, addr string) *fakeDP {
@@ -165,6 +168,10 @@ func startFakeDP(t *testing.T, tr *transport.InProc, addr string) *fakeDP {
 			if err != nil {
 				return nil, err
 			}
+			if list.Version <= dp.listVersion {
+				return nil, fmt.Errorf("stale function list %#x", list.Version)
+			}
+			dp.listVersion = list.Version
 			dp.functions = map[string]bool{}
 			for _, f := range list.Functions {
 				dp.functions[f.Name] = true
@@ -216,7 +223,7 @@ func newCPHarness(t *testing.T) *cpHarness {
 	cp := New(Config{
 		Addr:              "cp0",
 		Transport:         tr,
-		DB:                db,
+		LocalStore:        db,
 		AutoscaleInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  200 * time.Millisecond,
 		// The harness's fake data planes don't heartbeat; DP lifecycle
@@ -430,7 +437,7 @@ func TestRecoveryMergesWorkerSandboxes(t *testing.T) {
 	cp := New(Config{
 		Addr:              "cp0",
 		Transport:         tr,
-		DB:                db,
+		LocalStore:        db,
 		AutoscaleInterval: 10 * time.Millisecond,
 		HeartbeatTimeout:  time.Second,
 		NoDownscaleWindow: time.Minute,
@@ -453,13 +460,14 @@ func TestRecoveryMergesWorkerSandboxes(t *testing.T) {
 func TestFollowerRejectsAPICalls(t *testing.T) {
 	tr := transport.NewInProc()
 	db := store.NewMemory()
-	// Two-node "HA" cluster where the peer is unreachable: this node can
-	// never win an election, so it must reject API calls as non-leader.
+	// Two-replica Raft-log cluster where the peer is unreachable: this
+	// node can never win an election, so it must reject API calls as
+	// non-leader.
 	cp := New(Config{
-		Addr:      "cp0",
-		Peers:     []string{"cp0", "cp-unreachable"},
-		Transport: tr,
-		DB:        db,
+		Addr:       "cp0",
+		Peers:      []string{"cp0", "cp-unreachable"},
+		Transport:  tr,
+		LocalStore: db,
 	})
 	if err := cp.Start(); err != nil {
 		t.Fatal(err)
@@ -475,6 +483,46 @@ func TestFollowerRejectsAPICalls(t *testing.T) {
 	var re *transport.RemoteError
 	if !errors.As(err, &re) || !strings.Contains(re.Msg, cpclient.ErrNotLeaderText) {
 		t.Errorf("rejection should carry the not-leader marker: %v", err)
+	}
+}
+
+// TestConcurrentRegistrationsKeepEveryFunction races registrations, each
+// of which pushes the full function list. Every push must carry a fresh
+// version, and the newest version must carry every function, so the data
+// plane ends up holding all of them.
+func TestConcurrentRegistrationsKeepEveryFunction(t *testing.T) {
+	h := newCPHarness(t)
+	dp := startFakeDP(t, h.tr, "dp0:8000")
+	reg := proto.RegisterDataPlaneRequest{DataPlane: core.DataPlane{ID: 1, IP: "dp0", Port: 8000}}
+	h.call(t, proto.MethodRegisterDataPlane, reg.Marshal())
+
+	const n = 64
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fn := fnSpec(fmt.Sprintf("f%d", i))
+			if _, err := h.tr.Call(context.Background(), "cp0", proto.MethodRegisterFunction, core.MarshalFunction(&fn)); err != nil {
+				t.Errorf("register f%d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	dp.mu.Lock()
+	defer dp.mu.Unlock()
+	if len(dp.functions) != n {
+		t.Fatalf("data plane holds %d of %d functions", len(dp.functions), n)
+	}
+}
+
+// TestStartRequiresLocalStore: a control plane without a store fails at
+// Start instead of panicking at its first durable write.
+func TestStartRequiresLocalStore(t *testing.T) {
+	cp := New(Config{Addr: "cp0", Transport: transport.NewInProc()})
+	if err := cp.Start(); err == nil {
+		cp.Stop()
+		t.Fatal("Start succeeded without a LocalStore")
 	}
 }
 
@@ -536,7 +584,7 @@ func TestEpochMonotonicAcrossLeaders(t *testing.T) {
 		cp := New(Config{
 			Addr:              "cp0",
 			Transport:         tr,
-			DB:                db,
+			LocalStore:        db,
 			AutoscaleInterval: time.Hour,
 			HeartbeatTimeout:  time.Hour,
 		})
@@ -568,7 +616,7 @@ func TestPersistSandboxAblationWrites(t *testing.T) {
 	cp := New(Config{
 		Addr:                "cp0",
 		Transport:           tr,
-		DB:                  db,
+		LocalStore:          db,
 		AutoscaleInterval:   10 * time.Millisecond,
 		HeartbeatTimeout:    time.Second,
 		PersistSandboxState: true,

@@ -97,7 +97,7 @@ func (cp *ControlPlane) handleDataPlaneHeartbeat(payload []byte) ([]byte, error)
 	}
 	st := cp.getDataPlane(hb.DataPlane.ID)
 	if st == nil {
-		durable, hashes := unmarshalAsyncInfo(cp.cfg.DB.HGetAll(hashDPAsync)[fmt.Sprintf("%d", hb.DataPlane.ID)])
+		durable, hashes := unmarshalAsyncInfo(cp.db.HGetAll(hashDPAsync)[fmt.Sprintf("%d", hb.DataPlane.ID)])
 		cp.putDataPlane(hb.DataPlane, durable, hashes)
 		cp.metrics.Counter("dataplane_revivals").Inc()
 		// Revoke-before-rewarm: any lease on this replica's records must
@@ -128,7 +128,7 @@ func (cp *ControlPlane) handleDataPlaneHeartbeat(payload []byte) ([]byte, error)
 // endpoint set to one replica — the cache-warm diff a replica needs when
 // it (re-)joins the fan-out set.
 func (cp *ControlPlane) warmDataPlane(addr string) {
-	cp.sendFunctionsTo(addr)
+	cp.sendFunctionsTo(addr, cp.functionList().Marshal())
 	cp.sendEndpointsBatchTo(addr, cp.functionNames())
 }
 

@@ -19,7 +19,7 @@ func newDPLifecycleCP(t *testing.T, tr *transport.InProc, vclk *clock.Virtual) *
 	cp := New(Config{
 		Addr:              "cp0",
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		Clock:             vclk,
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Second, // DataPlaneTimeout defaults to 3s
@@ -220,7 +220,7 @@ func TestKillBatchAblationSeedParity(t *testing.T) {
 			cp := New(Config{
 				Addr:              "cp0",
 				Transport:         tr,
-				DB:                store.NewMemory(),
+				LocalStore:        store.NewMemory(),
 				AutoscaleInterval: time.Hour,
 				HeartbeatTimeout:  time.Hour,
 				CreateBatch:       tc.createBatch,

@@ -1,18 +1,14 @@
 package controlplane
 
-// Raft-log replication mode for the control-plane tier. The legacy HA
-// regime (election-only Raft over a shared store.Replicated) still works:
-// it is selected by Peers > 1 with Config.DB set and Config.LocalStore
-// nil. The replicated-log regime is selected by Peers > 1 with
-// Config.LocalStore set: every durable write the control plane makes is
-// marshaled as a store.Op and proposed to the Raft log; committed batches
-// are applied to each replica's local store, so a follower promoted to
-// leader recovers from its own applied state — no cold store replay and no
-// shared-store single point of failure. Read-only RPCs can then be served
-// by followers from that same applied state behind a leader-lease check
-// (bounded staleness), which is the perf headline: the leader's RPC load
-// drops to writes while front-end membership polls and dirigentctl reads
-// spread across the tier.
+// High availability for the control-plane tier: with several Peers, the
+// replicas run one Raft log. Every durable write the control plane makes
+// is marshaled as a store.Op and proposed to the log; committed batches
+// are applied to each replica's Config.LocalStore, so a follower promoted
+// to leader recovers from its own applied state — no cold store replay
+// and no shared store to fail. Read-only RPCs can also be served by
+// followers from that applied state behind a leader-lease check (bounded
+// staleness), so the leader's RPC load drops to writes while front-end
+// membership polls and dirigentctl reads spread across the tier.
 
 import (
 	"context"
@@ -39,11 +35,6 @@ const fieldDPLive = "dp-live"
 // replication before surfacing an error to the caller (who retries via
 // cpclient failover).
 const proposeTimeout = 5 * time.Second
-
-// replLog reports whether this replica runs the replicated-log regime.
-func (cp *ControlPlane) replLog() bool {
-	return cp.raftNode != nil && cp.cfg.LocalStore != nil
-}
 
 // notLeaderErr builds the rejection a non-leader replica returns for
 // leader-only RPCs, embedding a redirect hint when the leader is known so
@@ -76,7 +67,7 @@ func (cp *ControlPlane) applyReplicated(batch [][]byte) {
 	_ = cp.cfg.LocalStore.ApplyBatch(ops)
 }
 
-// replicatedDB adapts the Raft log to the DB interface: writes are
+// replicatedDB adapts the Raft log to the db interface: writes are
 // proposed to the log and return once committed at quorum and applied
 // locally (read-your-writes); reads come straight from the local applied
 // store.
@@ -114,7 +105,7 @@ func (r *replicatedDB) propose(op *store.Op) error {
 // without it, nextEpoch could re-mint an epoch the old leader already
 // used.
 func (cp *ControlPlane) barrierApplied() {
-	if !cp.replLog() {
+	if cp.raftNode == nil {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), proposeTimeout)
@@ -127,11 +118,11 @@ func (cp *ControlPlane) barrierApplied() {
 // refreshDataPlaneGauge) on every membership or liveness change — rare
 // events, so the quorum round trip is off every hot path.
 func (cp *ControlPlane) publishDataPlanes() {
-	if !cp.replLog() || !cp.cfg.FollowerReads || !cp.IsLeader() {
+	if cp.raftNode == nil || !cp.cfg.FollowerReads || !cp.IsLeader() {
 		return
 	}
 	b, _ := cp.handleListDataPlanes()
-	_ = cp.cfg.DB.HSet(hashMeta, fieldDPLive, b)
+	_ = cp.db.HSet(hashMeta, fieldDPLive, b)
 }
 
 // tryFollowerRead serves a read-only RPC from this replica's applied
@@ -140,7 +131,7 @@ func (cp *ControlPlane) publishDataPlanes() {
 // lease expired, or no published data yet) — the caller then rejects with
 // the NotLeader redirect.
 func (cp *ControlPlane) tryFollowerRead(method string) (resp []byte, err error, handled bool) {
-	if !cp.replLog() || !cp.cfg.FollowerReads || !cp.raftNode.ReadAllowed() {
+	if cp.raftNode == nil || !cp.cfg.FollowerReads || !cp.raftNode.ReadAllowed() {
 		return nil, nil, false
 	}
 	switch method {

@@ -23,7 +23,7 @@ func newVClockHarness(t *testing.T, timeout time.Duration) (*ControlPlane, *tran
 	cp := New(Config{
 		Addr:              "cp-health",
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		Clock:             vclk,
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  timeout,

@@ -100,13 +100,6 @@ func (cp *ControlPlane) Reconcile() {
 	var kills []*sandboxState
 	drained := make(map[string]bool)
 	for _, a := range actions {
-		if a.create > 0 && cp.pred != nil {
-			// Every creation the sweep stages is cold-start demand for the
-			// function's image — a signal that stays live even when worker
-			// pre-warm pools absorb the actual boot cost, because the
-			// reconciler still places the replacement sandbox.
-			cp.pred.Observe(now, a.fn.Image, a.create)
-		}
 		for i := 0; i < a.create; i++ {
 			if sc := cp.placeSandbox(a.fn); sc != nil {
 				staged = append(staged, sc)
@@ -120,7 +113,6 @@ func (cp *ControlPlane) Reconcile() {
 	cp.dispatchCreates(staged, now)
 	cp.dispatchKills(kills)
 	cp.broadcastEndpointsBatch(sortedKeys(drained))
-	cp.pushPrewarmTargets(now)
 }
 
 // stagedCreate is one placement decision awaiting RPC dispatch: the
@@ -294,7 +286,7 @@ func (cp *ControlPlane) killSandbox(sb *sandboxState) {
 	cp.mKillBatch.ObserveMs(1)
 	cp.metrics.Counter("sandbox_teardowns").Inc()
 	if cp.cfg.PersistSandboxState {
-		_ = cp.cfg.DB.HDel(hashSandboxes, fmt.Sprintf("%d", sb.id))
+		_ = cp.db.HDel(hashSandboxes, fmt.Sprintf("%d", sb.id))
 	}
 	addr := sb.workerAddr
 	payload := worker.EncodeSandboxID(sb.id)
@@ -327,7 +319,7 @@ func (cp *ControlPlane) dispatchKills(kills []*sandboxState) {
 	for _, sb := range kills {
 		cp.metrics.Counter("sandbox_teardowns").Inc()
 		if cp.cfg.PersistSandboxState {
-			_ = cp.cfg.DB.HDel(hashSandboxes, fmt.Sprintf("%d", sb.id))
+			_ = cp.db.HDel(hashSandboxes, fmt.Sprintf("%d", sb.id))
 		}
 		byWorker[sb.workerAddr] = append(byWorker[sb.workerAddr], sb.id)
 	}
@@ -431,8 +423,30 @@ func (cp *ControlPlane) failWorker(id core.NodeID) {
 // broadcastFunctions pushes the registered function list to every data
 // plane.
 func (cp *ControlPlane) broadcastFunctions() {
-	for _, addr := range cp.dataPlaneAddrs() {
-		cp.sendFunctionsTo(addr)
+	addrs := cp.dataPlaneAddrs()
+	if len(addrs) == 0 {
+		return
+	}
+	payload := cp.functionList().Marshal()
+	for _, addr := range addrs {
+		cp.sendFunctionsTo(addr, payload)
+	}
+}
+
+// functionList snapshots the registered functions under a fresh version:
+// the leadership epoch in the high bits, as endpointUpdate builds its
+// versions, and a push sequence in the low bits. Concurrent
+// registrations each push a full list, and a data plane keeps only the
+// newest version it has seen; minting the version and taking the
+// snapshot under one lock makes the newest version also the newest
+// snapshot, so a stale push can never drop a later registration.
+func (cp *ControlPlane) functionList() *proto.FunctionList {
+	cp.fnListMu.Lock()
+	defer cp.fnListMu.Unlock()
+	cp.fnListSeq++
+	return &proto.FunctionList{
+		Version:   cp.epoch.Load()<<32 | cp.fnListSeq,
+		Functions: cp.snapshotFunctions(),
 	}
 }
 
@@ -457,11 +471,13 @@ func dataPlaneAddr(p *core.DataPlane) string {
 	return fmt.Sprintf("%s:%d", p.IP, p.Port)
 }
 
-func (cp *ControlPlane) sendFunctionsTo(addr string) {
-	list := proto.FunctionList{Functions: cp.snapshotFunctions()}
+// sendFunctionsTo pushes one marshaled function list to a data plane.
+// A data plane that already holds a newer list rejects it; that error
+// needs no handling.
+func (cp *ControlPlane) sendFunctionsTo(addr string, payload []byte) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodAddFunction, list.Marshal())
+	_, _ = cp.cfg.Transport.Call(ctx, addr, proto.MethodAddFunction, payload)
 }
 
 // sendEndpointsTo pushes one function's endpoint set to a single data

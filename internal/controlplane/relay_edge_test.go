@@ -3,6 +3,7 @@ package controlplane
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func newRelayVClockHarness(t *testing.T, mutate func(*Config)) (*ControlPlane, *
 	cfg := Config{
 		Addr:              "cp-relay",
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		Clock:             vclk,
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Second,
@@ -224,7 +225,7 @@ func TestDeadWorkerGC(t *testing.T) {
 	if got := cp.WorkerCount(); got != 0 {
 		t.Fatalf("WorkerCount = %d, want 0 after timeout", got)
 	}
-	if got := len(cp.cfg.DB.HGetAll(hashWorkers)); got != 1 {
+	if got := len(cp.db.HGetAll(hashWorkers)); got != 1 {
 		t.Fatalf("persisted record collected too early (records = %d)", got)
 	}
 
@@ -245,7 +246,7 @@ func TestDeadWorkerGC(t *testing.T) {
 	if got := cp.Metrics().Counter("dead_worker_gc").Value(); got != 1 {
 		t.Fatalf("dead_worker_gc = %d, want 1", got)
 	}
-	if got := len(cp.cfg.DB.HGetAll(hashWorkers)); got != 0 {
+	if got := len(cp.db.HGetAll(hashWorkers)); got != 0 {
 		t.Errorf("persisted record survived GC (records = %d)", got)
 	}
 	if got := cp.Metrics().Gauge("fleet_size").Value(); got != 0 {
@@ -256,5 +257,41 @@ func TestDeadWorkerGC(t *testing.T) {
 	hb()
 	if got := cp.WorkerCount(); got != 0 {
 		t.Errorf("heartbeat resurrected a collected worker; WorkerCount = %d, want 0", got)
+	}
+}
+
+// TestHeartbeatBatchCarriesCacheDigest pins the relay-tier aggregation
+// path: a relay's WorkerHeartbeatBatch carries each worker's utilization
+// including its cache digest, and the registry stamps it exactly like a
+// direct heartbeat would.
+func TestHeartbeatBatchCarriesCacheDigest(t *testing.T) {
+	h := newCPHarness(t)
+	registerWorker(t, h, 1, "w1", "10.0.0.1")
+
+	digest := []uint64{5, 99, 1234}
+	batch := proto.WorkerHeartbeatBatch{
+		Relay: "relay0",
+		Beats: []proto.WorkerHeartbeat{{
+			Node: 1,
+			Util: core.NodeUtilization{Node: 1, CPUMilliUsed: 700, CacheDigest: digest},
+		}},
+	}
+	h.call(t, proto.MethodWorkerHeartbeatBatch, batch.Marshal())
+	ws := h.cp.getWorker(1)
+	ws.mu.Lock()
+	got := append([]uint64(nil), ws.util.CacheDigest...)
+	ws.mu.Unlock()
+	if !reflect.DeepEqual(got, digest) {
+		t.Fatalf("digest via relay batch = %v, want %v", got, digest)
+	}
+
+	// A later direct heartbeat replaces the digest wholesale.
+	hb := proto.WorkerHeartbeat{Node: 1, Util: core.NodeUtilization{Node: 1, CacheDigest: []uint64{7}}}
+	h.call(t, proto.MethodWorkerHeartbeat, hb.Marshal())
+	ws.mu.Lock()
+	got = append([]uint64(nil), ws.util.CacheDigest...)
+	ws.mu.Unlock()
+	if !reflect.DeepEqual(got, []uint64{7}) {
+		t.Fatalf("digest via direct heartbeat = %v, want [7]", got)
 	}
 }

@@ -33,9 +33,9 @@ func TestConcurrentRelayBatchIngest(t *testing.T) {
 	tr := transport.NewInProc()
 	db := store.NewMemory()
 	cp := New(Config{
-		Addr:      "cpr0",
-		Transport: tr,
-		DB:        db,
+		Addr:       "cpr0",
+		Transport:  tr,
+		LocalStore: db,
 		// Sweeps are driven explicitly below; park the tickers. The huge
 		// timeout keeps the racing sweeps from failing live workers.
 		AutoscaleInterval: time.Hour,

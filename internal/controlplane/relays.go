@@ -173,7 +173,7 @@ func (cp *ControlPlane) handleRegisterWorkerBatch(payload []byte) ([]byte, error
 	cp.mRegBatchSize.ObserveMs(float64(len(batch.Workers)))
 	for i := range batch.Workers {
 		w := &batch.Workers[i]
-		if err := cp.cfg.DB.HSet(hashWorkers, w.Name, core.MarshalWorkerNode(w)); err != nil {
+		if err := cp.db.HSet(hashWorkers, w.Name, core.MarshalWorkerNode(w)); err != nil {
 			return nil, fmt.Errorf("register worker batch (%s): persist %s: %w", batch.Relay, w.Name, err)
 		}
 	}

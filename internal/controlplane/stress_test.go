@@ -31,9 +31,9 @@ func TestConcurrentControlPlaneAccess(t *testing.T) {
 	tr := transport.NewInProc()
 	db := store.NewMemory()
 	cp := New(Config{
-		Addr:      "cp0",
-		Transport: tr,
-		DB:        db,
+		Addr:       "cp0",
+		Transport:  tr,
+		LocalStore: db,
 		// Loops are driven explicitly below; park the tickers.
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Hour,
@@ -175,7 +175,7 @@ func TestShardAblationSingleShard(t *testing.T) {
 	cp := New(Config{
 		Addr:              "cp1shard",
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		StateShards:       1,
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Hour,
@@ -202,7 +202,7 @@ func TestShardAblationSingleShard(t *testing.T) {
 // TestShardDistribution sanity-checks that the FNV stripe spreads
 // realistic function names across shards instead of piling onto one.
 func TestShardDistribution(t *testing.T) {
-	cp := New(Config{Addr: "unused", DB: store.NewMemory()})
+	cp := New(Config{Addr: "unused", LocalStore: store.NewMemory()})
 	seen := make(map[*functionShard]int)
 	for i := 0; i < 512; i++ {
 		seen[cp.shardFor(fmt.Sprintf("function-%d", i))]++

@@ -37,7 +37,7 @@ func TestWorkerShardsAblationSeedParity(t *testing.T) {
 		cp := New(Config{
 			Addr:              "cpws0",
 			Transport:         tr,
-			DB:                store.NewMemory(),
+			LocalStore:        store.NewMemory(),
 			WorkerShards:      workerShards,
 			AutoscaleInterval: time.Hour,
 			HeartbeatTimeout:  time.Hour, // failures injected via deregistration
@@ -153,7 +153,7 @@ func TestWorkerShardsAblationSeedParity(t *testing.T) {
 // TestWorkerShardDistribution sanity-checks that sequential node IDs
 // spread across the registry stripes instead of piling onto one.
 func TestWorkerShardDistribution(t *testing.T) {
-	cp := New(Config{Addr: "unused", DB: store.NewMemory()})
+	cp := New(Config{Addr: "unused", LocalStore: store.NewMemory()})
 	seen := make(map[*workerShard]int)
 	for i := 1; i <= 512; i++ {
 		seen[cp.workerShardFor(core.NodeID(i))]++

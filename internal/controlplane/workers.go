@@ -305,7 +305,7 @@ func (cp *ControlPlane) gcDeadWorker(id core.NodeID) {
 	if !removed {
 		return
 	}
-	_ = cp.cfg.DB.HDel(hashWorkers, name)
+	_ = cp.db.HDel(hashWorkers, name)
 	cp.workerCount.Add(-1)
 	cp.gFleetSize.Set(cp.workerCount.Load())
 	cp.cDeadWorkerGC.Inc()

@@ -182,6 +182,10 @@ type DataPlane struct {
 	listener transport.Listener
 
 	shards []*invokeShard
+	// fnListMu serializes function-list pushes; fnListVersion is the
+	// version of the last list applied (see handleAddFunctions).
+	fnListMu      sync.Mutex
+	fnListVersion uint64
 	// snapshotPicks is false in the -invoke-shards 1 ablation: warm
 	// picks take the (global) runtime lock and rebuild the candidate
 	// slice per invocation, as the seed did.
@@ -426,14 +430,26 @@ func deregisteredErr(name string) error {
 	return fmt.Errorf("function %q deregistered", name)
 }
 
-// handleAddFunctions replaces/extends the function cache (CP pushes the
-// full list; the update is idempotent). Updated specs propagate to the
-// per-endpoint concurrency capacities, so a raised TargetConcurrency
-// takes effect on live endpoints instead of waiting for them to churn.
+// handleAddFunctions replaces the function cache with the CP's full
+// list. Lists are versioned: one older than the last applied list is
+// rejected, since applying it would drop functions registered after its
+// snapshot. Updated specs propagate to the per-endpoint concurrency
+// capacities, so a raised TargetConcurrency takes effect on live
+// endpoints instead of waiting for them to churn.
 func (dp *DataPlane) handleAddFunctions(payload []byte) ([]byte, error) {
 	list, err := proto.UnmarshalFunctionList(payload)
 	if err != nil {
 		return nil, err
+	}
+	// Held across the whole apply, so two lists never interleave their
+	// adds and drops.
+	dp.fnListMu.Lock()
+	defer dp.fnListMu.Unlock()
+	if list.Version != 0 {
+		if list.Version <= dp.fnListVersion {
+			return nil, fmt.Errorf("data plane: stale function list version %#x (applied %#x)", list.Version, dp.fnListVersion)
+		}
+		dp.fnListVersion = list.Version
 	}
 	seen := make(map[string]bool, len(list.Functions))
 	for _, f := range list.Functions {

@@ -434,6 +434,46 @@ func TestStaleEndpointUpdateDiscarded(t *testing.T) {
 	}
 }
 
+// TestStaleFunctionListRejected is the registration race: two concurrent
+// registrations each push the full function list, and the push built
+// first (version 1, without g) lands last. The data plane must keep
+// version 2 and answer version 1 with an error, or it drops g.
+func TestStaleFunctionListRejected(t *testing.T) {
+	tr := transport.NewInProc()
+	startFakeCP(t, tr, "cp")
+	dp := testDP(t, tr)
+
+	fn := func(name string) core.Function {
+		return core.Function{Name: name, Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()}
+	}
+	send := func(version uint64, names ...string) error {
+		list := proto.FunctionList{Version: version}
+		for _, name := range names {
+			list.Functions = append(list.Functions, fn(name))
+		}
+		_, err := tr.Call(context.Background(), dp.Addr(), proto.MethodAddFunction, list.Marshal())
+		return err
+	}
+	if err := send(1<<32|2, "f", "g"); err != nil {
+		t.Fatalf("version 2: %v", err)
+	}
+	if err := send(1<<32|1, "f"); err == nil {
+		t.Errorf("stale version 1 accepted")
+	}
+	for _, name := range []string{"f", "g"} {
+		if dp.lookup(name) == nil {
+			t.Errorf("function %s lost to the stale list", name)
+		}
+	}
+	// A new leadership epoch outranks any sequence of the old one.
+	if err := send(2<<32|1, "f"); err != nil {
+		t.Fatalf("new-epoch list: %v", err)
+	}
+	if dp.lookup("g") != nil {
+		t.Errorf("new-epoch list did not drop g")
+	}
+}
+
 // TestStaleEndpointRetried covers the availability-over-consistency path
 // (paper §3.4.1): when the cached endpoint points at a dead worker, the
 // data plane drops it and retries on a live one instead of failing the

@@ -75,7 +75,7 @@ func TestTCPAsyncLeaseFailover(t *testing.T) {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              cpAddr,
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		DataPlaneTimeout:  time.Second,
@@ -263,7 +263,7 @@ func TestAsyncLeaseLesseeFailover(t *testing.T) {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              "cp",
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  time.Second,
 		DataPlaneTimeout:  300 * time.Millisecond,

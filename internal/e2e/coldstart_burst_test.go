@@ -51,7 +51,7 @@ func startBurstStack(t *testing.T, numWorkers, prewarm int) *burstStack {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              s.cpAddr,
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  3 * time.Second,
 	})

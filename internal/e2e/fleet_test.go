@@ -46,7 +46,7 @@ func TestTCPEmulatedFleet(t *testing.T) {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              cpAddr,
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		NoDownscaleWindow: time.Minute, // the burst must not scale down mid-test

@@ -44,7 +44,7 @@ func TestTCPMultiDataPlaneFailover(t *testing.T) {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              cpAddr,
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 		DataPlaneTimeout:  time.Second,

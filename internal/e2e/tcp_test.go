@@ -49,7 +49,7 @@ func startTCPStack(t *testing.T) *tcpStack {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              s.cpAddr,
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: 25 * time.Millisecond,
 		HeartbeatTimeout:  2 * time.Second,
 	})

@@ -90,7 +90,7 @@ func NewAsyncLeaseHarness(cfg AsyncLeaseConfig) (*AsyncLeaseHarness, error) {
 	h.cp = controlplane.New(controlplane.Config{
 		Addr:               "al-cp",
 		Transport:          h.tr,
-		DB:                 h.cpDB,
+		LocalStore:         h.cpDB,
 		AutoscaleInterval:  time.Hour, // scaling driven explicitly
 		HeartbeatTimeout:   400 * time.Millisecond,
 		DataPlaneTimeout:   400 * time.Millisecond,

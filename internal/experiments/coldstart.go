@@ -79,9 +79,9 @@ func NewColdStartHarness(cfg ColdStartConfig) (*ColdStartHarness, error) {
 	cfg = cfg.withDefaults()
 	h := &ColdStartHarness{cfg: cfg, tr: transport.NewInProc(), db: store.NewMemory()}
 	h.cp = controlplane.New(controlplane.Config{
-		Addr:      "coldstart-cp",
-		Transport: h.tr,
-		DB:        h.db,
+		Addr:       "coldstart-cp",
+		Transport:  h.tr,
+		LocalStore: h.db,
 		// Sweeps are driven explicitly via RunBurst.
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Hour,

@@ -77,7 +77,7 @@ func NewMultiDPHarness(cfg MultiDPConfig) (*MultiDPHarness, error) {
 	h.cp = controlplane.New(controlplane.Config{
 		Addr:              "mdp-cp",
 		Transport:         h.tr,
-		DB:                h.db,
+		LocalStore:        h.db,
 		AutoscaleInterval: time.Hour, // sweeps driven explicitly
 		HeartbeatTimeout:  400 * time.Millisecond,
 		DataPlaneTimeout:  400 * time.Millisecond,

@@ -91,7 +91,7 @@ func NewFleetHarness(cfg FleetConfig) (*FleetHarness, error) {
 	h.cp = controlplane.New(controlplane.Config{
 		Addr:              "fleet-cp",
 		Transport:         h.tr,
-		DB:                h.db,
+		LocalStore:        h.db,
 		WorkerShards:      cfg.WorkerShards,
 		AutoscaleInterval: time.Hour, // sweeps driven explicitly
 		HeartbeatTimeout:  cfg.HeartbeatTimeout,

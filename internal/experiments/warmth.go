@@ -12,7 +12,6 @@ import (
 	"dirigent/internal/cluster"
 	"dirigent/internal/core"
 	"dirigent/internal/placement"
-	"dirigent/internal/predictor"
 	"dirigent/internal/telemetry"
 	"dirigent/internal/trace"
 )
@@ -20,40 +19,36 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "warmth",
-		Title: "Predictive warmth ablation: per-image prewarm pools × cache-aware placement on the Azure-like trace",
+		Title: "Warmth: static prewarm pools × {kube-default, cache-aware} placement on the Azure-like trace",
 		Run:   runWarmth,
 	})
 }
 
 // warmthTimeScale compresses trace time onto the wall clock: one trace
-// minute replays in one wall second, so timer periods, autoscaler windows,
-// and the predictor's demand windows all shrink by the same factor and the
-// trace's temporal structure (synchronized timer bursts, idle gaps long
-// enough to scale to zero) survives the compression.
+// minute replays in one wall second, so timer periods and autoscaler
+// windows shrink by the same factor and the trace's temporal structure
+// (synchronized timer bursts, idle gaps long enough to scale to zero)
+// survives the compression.
 const warmthTimeScale = 1.0 / 30.0
 
 type warmthRow struct {
-	Mode        string  `json:"mode"`      // "static" | "predictive"
 	Placement   string  `json:"placement"` // "kube-default" | "cache-aware"
 	Invocations int     `json:"invocations"`
 	ColdStarts  int     `json:"cold_starts"`
 	ColdP50Ms   float64 `json:"cold_start_p50_ms"`
 	ColdP99Ms   float64 `json:"cold_start_p99_ms"`
-	// PrewarmHitRate is the fraction of cold starts served by a pool
-	// entry already warmed for the function's own image (zero by
-	// construction in static mode, whose pool holds only the generic
-	// base image); BaseHitRate is the fraction served by a base-image
-	// entry, which still pays the image pull at claim time.
+	// PrewarmHitRate is the fraction of cold creates served by a pool
+	// entry. Entries are warmed for the generic base image, so a claim
+	// still pays the function's image pull unless the node caches it.
 	PrewarmHitRate float64 `json:"prewarm_hit_rate"`
-	BaseHitRate    float64 `json:"base_hit_rate"`
 	ImagePulls     int64   `json:"image_pulls"`
 }
 
 // runWarmth replays the compressed Azure-like trace against the live
-// in-process cluster under the four ablation arms {static, predictive} ×
-// {kube-default, cache-aware} and reports cold-start latency, prewarm hit
-// rates, and image-pull counts. The rows are also committed to
-// BENCH_warmth.json.
+// in-process cluster, with static prewarm pools on every worker, under
+// kube-default and cache-aware placement, and reports cold-start latency,
+// prewarm hit rate, and image-pull counts. The rows are also committed
+// to BENCH_warmth.json.
 func runWarmth(w io.Writer, scale float64) error {
 	tr := trace.NewAzureLike(trace.Config{
 		Functions: scaleInt(96, scale, 12),
@@ -65,33 +60,23 @@ func runWarmth(w io.Writer, scale float64) error {
 		len(tr.Functions), len(tr.Invocations), tr.Duration,
 		time.Duration(float64(tr.Duration)*warmthTimeScale).Round(time.Second))
 
-	arms := []struct {
-		mode, placement        string
-		predictive, cacheAware bool
-	}{
-		{"static", "kube-default", false, false},
-		{"static", "cache-aware", false, true},
-		{"predictive", "kube-default", true, false},
-		{"predictive", "cache-aware", true, true},
-	}
-	rows := make([]warmthRow, 0, len(arms))
-	for _, arm := range arms {
-		row, err := runWarmthArm(tr, warmup, arm.predictive, arm.cacheAware)
+	rows := make([]warmthRow, 0, 2)
+	for _, cacheAware := range []bool{false, true} {
+		row, err := runWarmthArm(tr, warmup, cacheAware)
 		if err != nil {
-			return fmt.Errorf("arm %s/%s: %w", arm.mode, arm.placement, err)
+			return fmt.Errorf("arm %s: %w", row.Placement, err)
 		}
-		row.Mode, row.Placement = arm.mode, arm.placement
 		rows = append(rows, row)
-		fmt.Fprintf(w, "%-11s %-13s inv=%-5d cold=%-4d p50=%6.2fms p99=%7.2fms hit=%5.1f%% base=%5.1f%% pulls=%d\n",
-			row.Mode, row.Placement, row.Invocations, row.ColdStarts,
-			row.ColdP50Ms, row.ColdP99Ms, 100*row.PrewarmHitRate, 100*row.BaseHitRate, row.ImagePulls)
+		fmt.Fprintf(w, "%-13s inv=%-5d cold=%-4d p50=%6.2fms p99=%7.2fms hit=%5.1f%% pulls=%d\n",
+			row.Placement, row.Invocations, row.ColdStarts,
+			row.ColdP50Ms, row.ColdP99Ms, 100*row.PrewarmHitRate, row.ImagePulls)
 	}
 
-	fmt.Fprintln(w, "# Expected shape: predictive+cache-aware strictly beats static+kube-default on")
-	fmt.Fprintln(w, "# cold-start p99 AND prewarm hit rate: per-image pools pay the image pull at")
-	fmt.Fprintln(w, "# fill time (off the critical path) where static base-image claims pay it at")
-	fmt.Fprintln(w, "# claim time, and cache-aware placement steers repeats onto nodes whose digest")
-	fmt.Fprintln(w, "# already advertises the image, so far fewer cold starts pull at all.")
+	fmt.Fprintln(w, "# Expected shape: both arms claim from the same static base-image pools, so")
+	fmt.Fprintln(w, "# the difference is placement alone. A claimed entry still pulls the")
+	fmt.Fprintln(w, "# function's image unless the node caches it; cache-aware placement steers")
+	fmt.Fprintln(w, "# repeat cold starts onto nodes whose digest already holds the image, so it")
+	fmt.Fprintln(w, "# pulls far fewer images than kube-default and lowers cold-start p99.")
 
 	if scale < 1 {
 		// Sub-scale runs (CI smoke) exercise the harness without
@@ -121,9 +106,11 @@ func warmthFunction(spec *trace.FunctionSpec) core.Function {
 	return fn
 }
 
-func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware bool) (warmthRow, error) {
+func runWarmthArm(tr *trace.Trace, warmup time.Duration, cacheAware bool) (warmthRow, error) {
+	row := warmthRow{Placement: "kube-default"}
 	var placer placement.Policy // nil selects the CP's kube-default
 	if cacheAware {
+		row.Placement = "cache-aware"
 		placer = placement.NewCacheAware(1)
 	}
 	c, err := cluster.New(cluster.Options{
@@ -141,24 +128,18 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 		HeartbeatTimeout:  200 * time.Millisecond,
 		QueueTimeout:      10 * time.Second,
 		Prewarm:           12,
-		PredictivePrewarm: predictive,
-		Predictor: predictor.Config{
-			// One trace minute = one demand window, compressed.
-			Window: time.Duration(float64(time.Minute) * warmthTimeScale),
-			Lead:   time.Duration(float64(30*time.Second) * warmthTimeScale),
-		},
-		Placer: placer,
-		Seed:   42,
+		Placer:            placer,
+		Seed:              42,
 	})
 	if err != nil {
-		return warmthRow{}, err
+		return row, err
 	}
 	defer c.Shutdown()
 
 	for _, spec := range tr.Functions {
 		fn := warmthFunction(spec)
 		if err := c.RegisterFunction(fn); err != nil {
-			return warmthRow{}, err
+			return row, err
 		}
 		c.RegisterWorkload(fn.Image, 0)
 	}
@@ -172,12 +153,10 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 	samples := make([]sample, len(tr.Invocations))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 512)
-	var baseHits, baseImageHits, baseAllHits, baseMisses, basePulls int64
+	var baseHits, baseMisses, basePulls int64
 	snapped := false
-	snapshot := func() (imageHits, baseOnly, allHits, misses, pulls int64) {
-		imageHits = c.Metrics.Counter("prewarm_image_hits").Value()
-		baseOnly = c.Metrics.Counter("prewarm_base_hits").Value()
-		allHits = c.Metrics.Counter("prewarm_hits").Value()
+	snapshot := func() (hits, misses, pulls int64) {
+		hits = c.Metrics.Counter("prewarm_hits").Value()
 		misses = c.Metrics.Counter("prewarm_misses").Value()
 		for _, cache := range c.Caches {
 			_, m := cache.Stats()
@@ -190,9 +169,8 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 	for i, inv := range tr.Invocations {
 		if !snapped && inv.At >= warmup {
 			// Counter baselines at the warmup cutoff: everything before
-			// (cache population, the predictor's learning phase) is
-			// methodology, not measurement.
-			baseImageHits, baseHits, baseAllHits, baseMisses, basePulls = snapshot()
+			// (cache population) is methodology, not measurement.
+			baseHits, baseMisses, basePulls = snapshot()
 			snapped = true
 		}
 		at := time.Duration(float64(inv.At) * warmthTimeScale)
@@ -219,21 +197,9 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 		}(i, inv.Function.Name, inv.At)
 	}
 	wg.Wait()
-	imageHits, baseOnly, allHits, misses, pulls := snapshot()
-	if os.Getenv("WARMTH_DEBUG") != "" {
-		for _, name := range []string{"cold_starts", "warm_starts", "sandboxes_created", "sandboxes_killed",
-			"prewarm_filled", "prewarm_hits", "prewarm_image_hits", "prewarm_base_hits", "prewarm_misses",
-			"prewarm_evictions", "prewarm_pushes", "prewarm_push_errors", "prewarm_create_errors"} {
-			fmt.Fprintf(os.Stderr, "DEBUG %s=%d\n", name, c.Metrics.Counter(name).Value())
-		}
-		if cp := c.Leader(); cp != nil {
-			gen, set := cp.PrewarmTargetSnapshot()
-			fmt.Fprintf(os.Stderr, "DEBUG prewarm gen=%d set=%v\n", gen, set)
-		}
-	}
+	hits, misses, pulls := snapshot()
 
 	hist := telemetry.NewHistogram()
-	row := warmthRow{}
 	for _, s := range samples {
 		if s.at < warmup || s.failed {
 			continue
@@ -246,11 +212,10 @@ func runWarmthArm(tr *trace.Trace, warmup time.Duration, predictive, cacheAware 
 	}
 	row.ColdP50Ms = hist.Percentile(50)
 	row.ColdP99Ms = hist.Percentile(99)
-	// Denominator: every cold create that consulted the pool (a hit of
-	// either flavor or a miss), counted over the measurement window.
-	if claims := (allHits - baseAllHits) + (misses - baseMisses); claims > 0 {
-		row.PrewarmHitRate = float64(imageHits-baseImageHits) / float64(claims)
-		row.BaseHitRate = float64(baseOnly-baseHits) / float64(claims)
+	// Denominator: every cold create that consulted the pool (a hit or a
+	// miss), counted over the measurement window.
+	if claims := (hits - baseHits) + (misses - baseMisses); claims > 0 {
+		row.PrewarmHitRate = float64(hits-baseHits) / float64(claims)
 	}
 	row.ImagePulls = pulls - basePulls
 	return row, nil

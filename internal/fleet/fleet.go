@@ -90,12 +90,6 @@ type Worker struct {
 	digest      []uint64
 	digestStale bool
 
-	// Last per-image prewarm target push from the control plane
-	// (generation-tagged, see proto.PrewarmTargets); recorded rather than
-	// acted on — emulated workers hold no pools.
-	prewarmGen     uint64
-	prewarmTargets []proto.PrewarmTarget
-
 	// Readiness coalescing, mirroring the real worker: batch-delivered
 	// creations queue events and a single flusher drains whatever
 	// accumulated while its previous RPC was in flight.
@@ -274,14 +268,6 @@ func (w *Worker) digestLocked() []uint64 {
 	return w.digest
 }
 
-// PrewarmTargets returns the last generation-tagged per-image prewarm
-// target set the control plane pushed, for fleet-scale push tests.
-func (w *Worker) PrewarmTargets() (uint64, []proto.PrewarmTarget) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.prewarmGen, append([]proto.PrewarmTarget(nil), w.prewarmTargets...)
-}
-
 func (w *Worker) heartbeatLoop() {
 	defer w.wg.Done()
 	for {
@@ -340,18 +326,6 @@ func (w *Worker) handleRPC(method string, payload []byte) ([]byte, error) {
 		return nil, nil
 	case proto.MethodListSandboxes:
 		return w.listSandboxes().Marshal(), nil
-	case proto.MethodPrewarmTargets:
-		pt, err := proto.UnmarshalPrewarmTargets(payload)
-		if err != nil {
-			return nil, err
-		}
-		w.mu.Lock()
-		if pt.Gen > w.prewarmGen {
-			w.prewarmGen = pt.Gen
-			w.prewarmTargets = pt.Targets
-		}
-		w.mu.Unlock()
-		return nil, nil
 	case proto.MethodInvokeSandbox:
 		req, err := proto.UnmarshalInvokeSandboxRequest(payload)
 		if err != nil {

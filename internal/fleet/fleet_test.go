@@ -41,7 +41,7 @@ func TestFleetServesScaleUpAndSurvivesFailure(t *testing.T) {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              "fleet-cp",
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: time.Hour, // sweeps driven explicitly
 		HeartbeatTimeout:  300 * time.Millisecond,
 	})
@@ -138,7 +138,7 @@ func TestFleetSeedShapeSingletonCreates(t *testing.T) {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              "fleet-seed-cp",
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Hour,
 		CreateBatch:       1,

@@ -54,7 +54,7 @@ func TestRelayAblationSeedParity(t *testing.T) {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              "parity-cp",
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Hour, // liveness driven explicitly
 	})
@@ -107,7 +107,7 @@ func TestRelayModeBatchesLiveness(t *testing.T) {
 	cp := controlplane.New(controlplane.Config{
 		Addr:              "parity-cp",
 		Transport:         tr,
-		DB:                store.NewMemory(),
+		LocalStore:        store.NewMemory(),
 		AutoscaleInterval: time.Hour,
 		HeartbeatTimeout:  time.Hour,
 	})

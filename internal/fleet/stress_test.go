@@ -33,9 +33,9 @@ func TestConcurrentFleetRegistryStress(t *testing.T) {
 	tr := transport.NewInProc()
 	db := store.NewMemory()
 	cp := controlplane.New(controlplane.Config{
-		Addr:      "stress-cp",
-		Transport: tr,
-		DB:        db,
+		Addr:       "stress-cp",
+		Transport:  tr,
+		LocalStore: db,
 		// Loops parked: sweeps are driven explicitly below, and the huge
 		// timeout keeps explicit health sweeps from failing parked
 		// workers — failures are injected via deregistration instead.

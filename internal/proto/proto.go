@@ -60,10 +60,6 @@ const (
 	// single RPC, mirroring MethodCreateSandboxBatch on the way down.
 	MethodKillSandboxBatch = "wn.KillSandboxBatch"
 	MethodListSandboxes    = "wn.ListSandboxes"
-	// MethodPrewarmTargets pushes the predictor's per-image pre-warm pool
-	// targets to a worker. Piggybacked on the reconcile sweep: a worker is
-	// contacted only when its last acknowledged generation is stale.
-	MethodPrewarmTargets = "wn.PrewarmTargets"
 	// WN → CP.
 	MethodRegisterWorker   = "cp.RegisterWorker"
 	MethodDeregisterWorker = "cp.DeregisterWorker"
@@ -88,7 +84,6 @@ const (
 	MethodRegisterWorkerBatch = "cp.RegisterWorkerBatch"
 	// CP ↔ CP (leader election + log replication).
 	MethodRequestVote = "cp.RequestVote"
-	MethodLeaderPing  = "cp.LeaderPing"
 	// MethodAppendEntries ships pipelined, group-committed batches of
 	// replicated store ops from the CP leader to followers; an empty
 	// batch doubles as the leader heartbeat and carries the commit index.
@@ -508,48 +503,6 @@ func UnmarshalWorkerHeartbeatBatch(b []byte) (*WorkerHeartbeatBatch, error) {
 	return m, wrap(d.Err(), "WorkerHeartbeatBatch")
 }
 
-// PrewarmTarget is one image's desired cluster-wide pre-warm pool size.
-type PrewarmTarget struct {
-	Image string
-	Want  uint32
-}
-
-// PrewarmTargets is the CP → WN push of the predictor's per-image demand
-// estimates. Wants are cluster-wide; each worker apportions its own
-// -prewarm budget across them proportionally (leftover capacity keeps
-// warming the generic base image). Gen is the CP-side target generation,
-// bumped whenever the estimates change, so the sweep re-pushes only to
-// workers holding a stale generation (and to freshly re-registered ones,
-// which start at generation zero).
-type PrewarmTargets struct {
-	Gen     uint64
-	Targets []PrewarmTarget
-}
-
-// Marshal encodes the push.
-func (m *PrewarmTargets) Marshal() []byte {
-	e := codec.NewEncoder(16 + 32*len(m.Targets))
-	e.U64(m.Gen)
-	e.U32(uint32(len(m.Targets)))
-	for i := range m.Targets {
-		e.String(m.Targets[i].Image)
-		e.U32(m.Targets[i].Want)
-	}
-	return e.Bytes()
-}
-
-// UnmarshalPrewarmTargets decodes a PrewarmTargets.
-func UnmarshalPrewarmTargets(b []byte) (*PrewarmTargets, error) {
-	d := codec.NewDecoder(b)
-	m := &PrewarmTargets{}
-	m.Gen = d.U64()
-	n := int(d.U32())
-	for i := 0; i < n && d.Err() == nil; i++ {
-		m.Targets = append(m.Targets, PrewarmTarget{Image: d.String(), Want: d.U32()})
-	}
-	return m, wrap(d.Err(), "PrewarmTargets")
-}
-
 // RegisterWorkerBatch group-commits a registration storm through a relay:
 // every worker announcement the relay accumulated while its previous
 // registration RPC was in flight, in one CP round trip.
@@ -873,14 +826,22 @@ func UnmarshalSandboxEventBatch(b []byte) (*SandboxEventBatch, error) {
 	return m, wrap(d.Err(), "SandboxEventBatch")
 }
 
-// FunctionList carries registered functions from CP to DP caches.
+// FunctionList carries registered functions from CP to DP caches. Every
+// push carries the full list, so Version orders them: the leadership
+// epoch in the high bits, the CP's push sequence in the low bits, minted
+// together with the snapshot. A data plane applies a list only if its
+// Version is newer than the last one it applied. Version 0 marks an
+// unversioned list, such as a ListFunctions reply, which a data plane
+// always applies.
 type FunctionList struct {
+	Version   uint64
 	Functions []core.Function
 }
 
 // Marshal encodes the list.
 func (m *FunctionList) Marshal() []byte {
-	e := codec.NewEncoder(16 + 128*len(m.Functions))
+	e := codec.NewEncoder(24 + 128*len(m.Functions))
+	e.U64(m.Version)
 	e.U32(uint32(len(m.Functions)))
 	for i := range m.Functions {
 		e.RawBytes(core.MarshalFunction(&m.Functions[i]))
@@ -891,8 +852,8 @@ func (m *FunctionList) Marshal() []byte {
 // UnmarshalFunctionList decodes a FunctionList.
 func UnmarshalFunctionList(b []byte) (*FunctionList, error) {
 	d := codec.NewDecoder(b)
+	m := &FunctionList{Version: d.U64()}
 	n := int(d.U32())
-	m := &FunctionList{}
 	for i := 0; i < n && d.Err() == nil; i++ {
 		fb := d.RawBytes()
 		if d.Err() != nil {
@@ -960,29 +921,6 @@ func UnmarshalVoteResponse(b []byte) (*VoteResponse, error) {
 	m.Term = d.U64()
 	m.Granted = d.Bool()
 	return m, wrap(d.Err(), "VoteResponse")
-}
-
-// LeaderPing is the Raft heartbeat from the CP leader to followers.
-type LeaderPing struct {
-	Term   uint64
-	Leader string
-}
-
-// Marshal encodes the ping.
-func (m *LeaderPing) Marshal() []byte {
-	e := codec.NewEncoder(24 + len(m.Leader))
-	e.U64(m.Term)
-	e.String(m.Leader)
-	return e.Bytes()
-}
-
-// UnmarshalLeaderPing decodes a LeaderPing.
-func UnmarshalLeaderPing(b []byte) (*LeaderPing, error) {
-	d := codec.NewDecoder(b)
-	m := &LeaderPing{}
-	m.Term = d.U64()
-	m.Leader = d.String()
-	return m, wrap(d.Err(), "LeaderPing")
 }
 
 // LogEntry is one replicated command in the control plane's Raft log: an

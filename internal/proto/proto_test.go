@@ -11,28 +11,6 @@ import (
 	"dirigent/internal/core"
 )
 
-func TestPrewarmTargetsRoundTrip(t *testing.T) {
-	m := &PrewarmTargets{
-		Gen: 42,
-		Targets: []PrewarmTarget{
-			{Image: "registry.local/fn-a", Want: 3},
-			{Image: "registry.local/fn-b", Want: 1},
-		},
-	}
-	got, err := UnmarshalPrewarmTargets(m.Marshal())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, m) {
-		t.Errorf("round trip: %+v", got)
-	}
-
-	empty, err := UnmarshalPrewarmTargets((&PrewarmTargets{Gen: 7}).Marshal())
-	if err != nil || empty.Gen != 7 || len(empty.Targets) != 0 {
-		t.Errorf("empty push: %v %+v", err, empty)
-	}
-}
-
 func TestInvokeRequestRoundTrip(t *testing.T) {
 	m := &InvokeRequest{Function: "fn", Async: true, Payload: []byte{1, 2, 3}}
 	got, err := UnmarshalInvokeRequest(m.Marshal())
@@ -197,7 +175,7 @@ func TestSandboxEventRoundTrip(t *testing.T) {
 }
 
 func TestFunctionListRoundTrip(t *testing.T) {
-	m := &FunctionList{Functions: []core.Function{
+	m := &FunctionList{Version: 3<<32 | 7, Functions: []core.Function{
 		{Name: "a", Image: "img-a", Port: 1, Scaling: core.DefaultScalingConfig()},
 		{Name: "b", Image: "img-b", Port: 2, Runtime: "firecracker", Scaling: core.DefaultScalingConfig()},
 	}}
@@ -205,7 +183,7 @@ func TestFunctionListRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Functions) != 2 || got.Functions[0] != m.Functions[0] || got.Functions[1] != m.Functions[1] {
+	if got.Version != m.Version || len(got.Functions) != 2 || got.Functions[0] != m.Functions[0] || got.Functions[1] != m.Functions[1] {
 		t.Errorf("round trip: %+v", got)
 	}
 }
@@ -220,11 +198,6 @@ func TestVoteAndPingRoundTrip(t *testing.T) {
 	gotResp, err := UnmarshalVoteResponse(resp.Marshal())
 	if err != nil || *gotResp != *resp {
 		t.Errorf("vote response: %+v, %v", gotResp, err)
-	}
-	ping := &LeaderPing{Term: 10, Leader: "cp2"}
-	gotPing, err := UnmarshalLeaderPing(ping.Marshal())
-	if err != nil || *gotPing != *ping {
-		t.Errorf("leader ping: %+v, %v", gotPing, err)
 	}
 }
 

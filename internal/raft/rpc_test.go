@@ -70,24 +70,6 @@ func TestHigherTermResetsVote(t *testing.T) {
 	}
 }
 
-func TestLeaderPingAdoptsLeader(t *testing.T) {
-	n := freshNode("n0")
-	ping := proto.LeaderPing{Term: 4, Leader: "peer1"}
-	_, err, handled := n.HandleRPC(proto.MethodLeaderPing, ping.Marshal())
-	if !handled || err != nil {
-		t.Fatalf("HandleRPC: %v", err)
-	}
-	if n.Leader() != "peer1" || n.Term() != 4 || n.State() != Follower {
-		t.Errorf("state after ping: leader=%q term=%d state=%v", n.Leader(), n.Term(), n.State())
-	}
-	// Stale ping from an old term is ignored.
-	old := proto.LeaderPing{Term: 2, Leader: "peer2"}
-	n.HandleRPC(proto.MethodLeaderPing, old.Marshal())
-	if n.Leader() != "peer1" {
-		t.Errorf("stale ping overwrote the leader")
-	}
-}
-
 func TestNonRaftMethodNotHandled(t *testing.T) {
 	n := freshNode("n0")
 	if _, _, handled := n.HandleRPC("cp.RegisterFunction", nil); handled {
@@ -100,8 +82,8 @@ func TestMalformedPayloadsError(t *testing.T) {
 	if _, err, handled := n.HandleRPC(proto.MethodRequestVote, []byte{0x01}); !handled || err == nil {
 		t.Errorf("malformed vote request: handled=%v err=%v", handled, err)
 	}
-	if _, err, handled := n.HandleRPC(proto.MethodLeaderPing, []byte{0x01}); !handled || err == nil {
-		t.Errorf("malformed ping: handled=%v err=%v", handled, err)
+	if _, err, handled := n.HandleRPC(proto.MethodAppendEntries, []byte{0x01}); !handled || err == nil {
+		t.Errorf("malformed append entries: handled=%v err=%v", handled, err)
 	}
 }
 

@@ -371,15 +371,13 @@ func (t *cpTier) newCP(i int, rejoin bool) *controlplane.ControlPlane {
 		HeartbeatTimeout:  400 * time.Millisecond,
 		DataPlaneTimeout:  400 * time.Millisecond,
 		NoDownscaleWindow: time.Millisecond,
+		LocalStore:        t.stores[i],
 		Metrics:           t.metrics,
 	}
 	if len(t.addrs) > 1 {
 		c.Peers = t.addrs
-		c.LocalStore = t.stores[i]
 		c.FollowerReads = t.followerReads
 		c.RaftRejoin = rejoin
-	} else {
-		c.DB = t.stores[i]
 	}
 	return controlplane.New(c)
 }

@@ -5,12 +5,12 @@
 //
 // The store supports plain keys and hashes (field → value maps, one per
 // object collection: functions, worker nodes, data planes). Every mutation
-// is appended to a write-ahead log before it is acknowledged, and can be
-// synchronously replicated to follower stores for strong consistency.
+// is appended to a write-ahead log before it is acknowledged. Replication
+// across control plane replicas happens above the store: the Raft log
+// ships store.Op records and each replica applies them to its own store.
 package store
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -321,108 +321,3 @@ func (s *Store) Close() error {
 	}
 	return s.log.Close()
 }
-
-// Replicated wraps a primary store and synchronously mirrors every mutation
-// to follower stores, giving the strongly consistent replication the paper's
-// deployment achieves with a Redis replica per control-plane node. A write
-// is acknowledged only after the primary's AOF append and every follower's
-// apply have succeeded.
-type Replicated struct {
-	mu        sync.Mutex
-	primary   *Store
-	followers []*Store
-}
-
-// NewReplicated returns a replicated store over primary and followers.
-func NewReplicated(primary *Store, followers ...*Store) *Replicated {
-	return &Replicated{primary: primary, followers: followers}
-}
-
-// Primary returns the primary store for reads.
-func (r *Replicated) Primary() *Store { return r.primary }
-
-// Apply persists the op on the primary and mirrors it to all followers.
-// The replication mutex orders ops identically everywhere but is released
-// before any group-commit durability wait (primary's and followers'), so
-// concurrent Applys on every replica share group-committed fsyncs
-// instead of serializing behind each other's.
-func (r *Replicated) Apply(op Op) error {
-	type wait struct {
-		s   *Store
-		seq uint64
-	}
-	var firstErr error
-	r.mu.Lock()
-	pseq, err := r.primary.applyBuffered(op)
-	if err != nil {
-		r.mu.Unlock()
-		return err
-	}
-	waits := make([]wait, 0, 1+len(r.followers))
-	waits = append(waits, wait{r.primary, pseq})
-	for _, f := range r.followers {
-		seq, err := f.applyBuffered(op)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		waits = append(waits, wait{f, seq})
-	}
-	r.mu.Unlock()
-	for _, w := range waits {
-		if err := w.s.waitDurable(w.seq); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// Set stores value under key on the primary and all followers.
-func (r *Replicated) Set(key string, value []byte) error {
-	return r.Apply(Op{Kind: OpSet, Key: key, Value: value})
-}
-
-// Del removes key everywhere.
-func (r *Replicated) Del(key string) error {
-	return r.Apply(Op{Kind: OpDel, Key: key})
-}
-
-// HSet stores value under hash/field everywhere.
-func (r *Replicated) HSet(hash, field string, value []byte) error {
-	return r.Apply(Op{Kind: OpHSet, Key: hash, Field: field, Value: value})
-}
-
-// HDel removes hash/field everywhere.
-func (r *Replicated) HDel(hash, field string) error {
-	return r.Apply(Op{Kind: OpHDel, Key: hash, Field: field})
-}
-
-// HGetAll reads hash from the primary.
-func (r *Replicated) HGetAll(hash string) map[string][]byte {
-	return r.primary.HGetAll(hash)
-}
-
-// Get reads key from the primary.
-func (r *Replicated) Get(key string) ([]byte, bool) {
-	return r.primary.Get(key)
-}
-
-// Sync brings a new follower up to date with the primary's current state
-// and adds it to the replication set.
-func (r *Replicated) Sync(follower *Store) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, op := range r.primary.DumpOps() {
-		if err := follower.Apply(op); err != nil {
-			return err
-		}
-	}
-	r.followers = append(r.followers, follower)
-	return nil
-}
-
-// ErrNotLeader is returned by store front-ends that refuse writes on
-// non-leader replicas.
-var ErrNotLeader = errors.New("store: not leader")

@@ -172,85 +172,6 @@ func TestQuickOpRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReplicationMirrorsWrites(t *testing.T) {
-	primary := NewMemory()
-	f1 := NewMemory()
-	f2 := NewMemory()
-	r := NewReplicated(primary, f1, f2)
-	if err := r.HSet("functions", "f", []byte("spec")); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Set("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range []*Store{primary, f1, f2} {
-		if v, ok := s.HGet("functions", "f"); !ok || string(v) != "spec" {
-			t.Errorf("replica %d missing hash write", i)
-		}
-		if v, ok := s.Get("k"); !ok || string(v) != "v" {
-			t.Errorf("replica %d missing kv write", i)
-		}
-	}
-	if err := r.HDel("functions", "f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Del("k"); err != nil {
-		t.Fatal(err)
-	}
-	for i, s := range []*Store{primary, f1, f2} {
-		if _, ok := s.HGet("functions", "f"); ok {
-			t.Errorf("replica %d kept deleted hash field", i)
-		}
-		if _, ok := s.Get("k"); ok {
-			t.Errorf("replica %d kept deleted key", i)
-		}
-	}
-}
-
-func TestReplicatedSyncBootstrapsNewFollower(t *testing.T) {
-	primary := NewMemory()
-	r := NewReplicated(primary)
-	for i := 0; i < 20; i++ {
-		if err := r.HSet("h", string(rune('a'+i)), []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	late := NewMemory()
-	if err := r.Sync(late); err != nil {
-		t.Fatalf("sync: %v", err)
-	}
-	if late.HLen("h") != 20 {
-		t.Errorf("late follower has %d fields, want 20", late.HLen("h"))
-	}
-	// New writes must now reach the late follower too.
-	if err := r.HSet("h", "zz", []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := late.HGet("h", "zz"); !ok || string(v) != "new" {
-		t.Errorf("late follower missed post-sync write")
-	}
-}
-
-func TestReplicatedReads(t *testing.T) {
-	primary := NewMemory()
-	r := NewReplicated(primary)
-	if err := r.Set("x", []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := r.Get("x"); !ok || string(v) != "1" {
-		t.Errorf("Replicated.Get = %q, %v", v, ok)
-	}
-	if err := r.HSet("h", "f", []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if all := r.HGetAll("h"); len(all) != 1 || string(all["f"]) != "2" {
-		t.Errorf("Replicated.HGetAll = %v", all)
-	}
-	if r.Primary() != primary {
-		t.Errorf("Primary identity lost")
-	}
-}
-
 func TestDumpOpsReconstructsState(t *testing.T) {
 	s := NewMemory()
 	s.Set("a", []byte("1"))

@@ -3,7 +3,6 @@ package worker
 import (
 	"bytes"
 	"context"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -510,121 +509,6 @@ func TestWorkerPrewarmRuntimeMismatch(t *testing.T) {
 	}
 }
 
-// awaitPoolSizes polls until the per-image pool partition matches want.
-func awaitPoolSizes(t *testing.T, w *Worker, want map[string]int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	var got map[string]int
-	for time.Now().Before(deadline) {
-		got = w.PrewarmPoolSizes()
-		if reflect.DeepEqual(got, want) {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("pool partition never reached %v (at %v)", want, got)
-}
-
-// TestApportionPrewarm pins how a node splits its budget across the
-// cluster-wide per-image wants.
-func TestApportionPrewarm(t *testing.T) {
-	const base = "prewarm/base"
-	pt := func(img string, want uint32) proto.PrewarmTarget {
-		return proto.PrewarmTarget{Image: img, Want: want}
-	}
-	for _, tc := range []struct {
-		name   string
-		budget int
-		wants  []proto.PrewarmTarget
-		want   map[string]int
-	}{
-		{"no wants, all base", 4, nil, map[string]int{base: 4}},
-		{"zero wants, all base", 4, []proto.PrewarmTarget{pt("a", 0)}, map[string]int{base: 4}},
-		{"under budget, leftover on base", 4,
-			[]proto.PrewarmTarget{pt("a", 2), pt("b", 1)},
-			map[string]int{"a": 2, "b": 1, base: 1}},
-		{"exact budget", 3,
-			[]proto.PrewarmTarget{pt("a", 2), pt("b", 1)},
-			map[string]int{"a": 2, "b": 1}},
-		{"oversubscribed, largest remainder wins the leftover", 4,
-			[]proto.PrewarmTarget{pt("a", 5), pt("b", 4), pt("c", 3)},
-			map[string]int{"a": 2, "b": 1, "c": 1}},
-		{"oversubscribed, zero-want images dropped", 2,
-			[]proto.PrewarmTarget{pt("a", 0), pt("b", 4)},
-			map[string]int{"b": 2}},
-		{"oversubscribed, tiny share rounds away", 2,
-			[]proto.PrewarmTarget{pt("a", 7), pt("b", 1)},
-			map[string]int{"a": 2}},
-	} {
-		if got := apportionPrewarm(tc.budget, tc.wants, base); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("%s: apportionPrewarm(%d) = %v, want %v", tc.name, tc.budget, got, tc.want)
-		}
-	}
-}
-
-// TestWorkerPrewarmTargetsApply drives the control-plane push protocol
-// end to end: a worker in static mode (whole budget on the base image —
-// seed parity) receives a generation-tagged target set, repartitions the
-// pool (evicting surplus base entries), serves an image-hit claim, heals
-// the drained pool, ignores a stale-generation push, and reverts to the
-// static partition when an empty set arrives.
-func TestWorkerPrewarmTargetsApply(t *testing.T) {
-	tr := transport.NewInProc()
-	cp := startFakeCP(t, tr, "cp")
-	w := testWorkerWith(t, tr, "cp", func(c *Config) { c.Prewarm = 4 })
-	ctx := context.Background()
-
-	// Seed parity: no push yet, so the whole budget idles on the base image.
-	awaitPoolSizes(t, w, map[string]int{"prewarm/base": 4})
-	if g := w.PrewarmGen(); g != 0 {
-		t.Fatalf("PrewarmGen before any push = %d, want 0", g)
-	}
-
-	push := func(gen uint64, targets ...proto.PrewarmTarget) {
-		t.Helper()
-		msg := proto.PrewarmTargets{Gen: gen, Targets: targets}
-		if _, err := tr.Call(ctx, w.Addr(), proto.MethodPrewarmTargets, msg.Marshal()); err != nil {
-			t.Fatalf("push gen %d: %v", gen, err)
-		}
-	}
-	push(7, proto.PrewarmTarget{Image: "img-a", Want: 2}, proto.PrewarmTarget{Image: "img-b", Want: 1})
-	awaitPoolSizes(t, w, map[string]int{"img-a": 2, "img-b": 1, "prewarm/base": 1})
-	if g := w.PrewarmGen(); g != 7 {
-		t.Errorf("PrewarmGen = %d, want 7", g)
-	}
-	if ev := w.Metrics().Counter("prewarm_evictions").Value(); ev != 3 {
-		t.Errorf("evictions after repartition = %d, want 3 (surplus base entries)", ev)
-	}
-
-	// A cold start for img-a claims from its dedicated pool: an image hit,
-	// and the drained slot heals back.
-	fn := core.Function{Name: "fa", Image: "img-a", Port: 8080, Scaling: core.DefaultScalingConfig()}
-	req := proto.CreateSandboxRequest{SandboxID: 42, Function: fn}
-	if _, err := tr.Call(ctx, w.Addr(), proto.MethodCreateSandbox, req.Marshal()); err != nil {
-		t.Fatal(err)
-	}
-	awaitReady(t, cp, 1)
-	if got := w.Metrics().Counter("prewarm_image_hits").Value(); got != 1 {
-		t.Errorf("prewarm_image_hits = %d, want 1", got)
-	}
-	awaitPoolSizes(t, w, map[string]int{"img-a": 2, "img-b": 1, "prewarm/base": 1})
-
-	// A stale generation must not regress the partition.
-	push(6, proto.PrewarmTarget{Image: "img-z", Want: 4})
-	awaitPoolSizes(t, w, map[string]int{"img-a": 2, "img-b": 1, "prewarm/base": 1})
-	if g := w.PrewarmGen(); g != 7 {
-		t.Errorf("PrewarmGen after stale push = %d, want 7", g)
-	}
-
-	// An empty target set reverts to the static partition (predictor went
-	// quiet): per-image pools are evicted and the base pool refills.
-	push(8)
-	awaitPoolSizes(t, w, map[string]int{"prewarm/base": 4})
-	if g := w.PrewarmGen(); g != 8 {
-		t.Errorf("PrewarmGen = %d, want 8", g)
-	}
-}
-
 // TestWorkerConcurrentPrewarmEvictionClaim races memory-pressure
 // eviction (real sandboxes charging allocation) against pool claims,
 // kills, and refills, then checks pool-entry conservation: every filled
@@ -656,7 +540,7 @@ func TestWorkerConcurrentPrewarmEvictionClaim(t *testing.T) {
 	}
 	wg.Wait()
 	awaitReady(t, cp, 8)
-	if hits := w.Metrics().Counter("prewarm_base_hits").Value(); hits == 0 {
+	if hits := w.Metrics().Counter("prewarm_hits").Value(); hits == 0 {
 		t.Errorf("no claims hit the pool during the race")
 	}
 	for i := 1; i <= 8; i++ {
@@ -699,15 +583,11 @@ func TestWorkerConcurrentPrewarmEvictionClaim(t *testing.T) {
 	deadline = time.Now().Add(5 * time.Second)
 	for {
 		w.mu.Lock()
-		pending := len(w.prewarmPending)
-		pooled := 0
-		for _, pool := range w.prewarmPools {
-			pooled += len(pool)
-		}
+		pending := w.prewarmPending
+		pooled := len(w.prewarmPool)
 		w.mu.Unlock()
 		filled := w.Metrics().Counter("prewarm_filled").Value()
-		claimed := w.Metrics().Counter("prewarm_image_hits").Value() +
-			w.Metrics().Counter("prewarm_base_hits").Value()
+		claimed := w.Metrics().Counter("prewarm_hits").Value()
 		evicted := w.Metrics().Counter("prewarm_evictions").Value()
 		if pending == 0 && filled == claimed+evicted+int64(pooled) {
 			return
