@@ -97,7 +97,11 @@ type Config struct {
 	// instead of batched creates and coalesced endpoint diffs.
 	CreateBatch int
 	// AutoscaleInterval is the period of the asynchronous autoscaling
-	// loop (Knative ticks every 2 s; tests compress this).
+	// loop (Knative ticks every 2 s; tests compress this). The loop
+	// handles scale-down, panic and non-zero scale-up, and MinScale;
+	// scale from zero does not wait for it, since a metric report that
+	// shows queued invocations for a function with no sandbox scales it
+	// up on arrival.
 	AutoscaleInterval time.Duration
 	// HeartbeatTimeout is how long without a worker heartbeat before the
 	// health monitor declares the worker failed.
@@ -246,6 +250,11 @@ type functionState struct {
 	fn        core.Function
 	scaler    *autoscaler.FunctionAutoscaler
 	sandboxes map[core.SandboxID]*sandboxState
+	// placing counts creations a scaling decision has reserved but not
+	// yet placed. It counts as creating, so the sweep and the
+	// scale-from-zero path, which each decide and reserve under the shard
+	// lock, never both create for the same demand.
+	placing int
 	// epSeq numbers this function's endpoint broadcasts so that data
 	// planes can discard reordered updates. Combined with the leadership
 	// epoch into the update's Version. Sequencing is per function, so
@@ -262,6 +271,7 @@ func newFunctionState(fn core.Function) *functionState {
 }
 
 func (fs *functionState) counts() (ready, creating int) {
+	creating = fs.placing
 	for _, sb := range fs.sandboxes {
 		if sb.phase == phaseReady {
 			ready++
@@ -400,6 +410,9 @@ func New(cfg Config) *ControlPlane {
 	cp.mSandboxReady = cp.metrics.Histogram("sandbox_ready_ms")
 	cp.mShardWait = cp.metrics.Histogram("shard_lock_wait_ms")
 	cp.mShardContended = cp.metrics.Counter("shard_lock_contended")
+	// cold_start_sched_ms runs from the scaling decision's start (the
+	// sweep's start, or the metric report's arrival on the scale-from-zero
+	// path) to the create RPC's dispatch.
 	cp.mSchedLatency = cp.metrics.Histogram("cold_start_sched_ms")
 	cp.mCreateBatch = cp.metrics.CountHistogram("create_batch_size")
 	cp.mKillBatch = cp.metrics.CountHistogram("kill_batch_size")
@@ -898,24 +911,44 @@ func (cp *ControlPlane) handleListFunctions() ([]byte, error) {
 
 // handleScalingMetric feeds data plane concurrency reports into the
 // per-function autoscalers. Only the shard of each reported function is
-// locked, and only long enough to look up the scaler.
+// locked, and only long enough to look up the scaler and, for a function
+// with queued invocations, to decide a scale from zero.
+//
+// It also scales from zero: a function reported with queued invocations
+// and no ready or creating sandbox gets the sweep's own scale-up on
+// arrival, and the report's creations share one dispatchCreates, so they
+// still batch per worker. A cold invocation therefore waits for neither
+// the next autoscale sweep nor, since the data plane sends such a report
+// at once, the next periodic report.
 func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
 	report, err := proto.UnmarshalScalingMetricReport(payload)
 	if err != nil {
 		return nil, err
 	}
 	now := cp.clk.Now()
+	var ups []scaleUp
 	for _, m := range report.Metrics {
 		var scaler *autoscaler.FunctionAutoscaler
 		cp.withFunction(m.Function, func(fs *functionState) {
 			scaler = fs.scaler
 		})
-		if scaler != nil {
-			// The scaler is internally synchronized; recording outside
-			// the shard lock keeps metric floods off the sandbox paths.
-			scaler.Record(now, float64(m.InFlight+m.QueueDepth))
+		if scaler == nil {
+			continue
+		}
+		// The scaler is internally synchronized; recording outside the
+		// shard lock keeps metric floods off the sandbox paths.
+		scaler.Record(now, float64(m.InFlight+m.QueueDepth))
+		if m.QueueDepth > 0 {
+			cp.withFunction(m.Function, func(fs *functionState) {
+				if ready, creating := fs.counts(); ready+creating == 0 {
+					if desired := fs.scaler.Desired(now, 0); desired > 0 {
+						ups = append(ups, fs.reserve(desired))
+					}
+				}
+			})
 		}
 	}
+	cp.dispatchCreates(cp.placeScaleUps(ups), now)
 	return nil, nil
 }
 

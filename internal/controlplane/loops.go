@@ -54,12 +54,9 @@ func (cp *ControlPlane) autoscaleLoop() {
 // CreateBatch=1 restores the seed's per-sandbox/per-function RPCs.
 func (cp *ControlPlane) Reconcile() {
 	now := cp.clk.Now()
-	type action struct {
-		create int
-		kills  []*sandboxState
-		fn     core.Function
-	}
-	var actions []action
+	var ups []scaleUp
+	var kills []*sandboxState
+	drained := make(map[string]bool)
 
 	suppressDownscale := false
 	if at := cp.recoveredAt.Load(); at != nil {
@@ -72,7 +69,7 @@ func (cp *ControlPlane) Reconcile() {
 			desired := fs.scaler.Desired(now, current)
 			switch {
 			case desired > current:
-				actions = append(actions, action{create: desired - current, fn: fs.fn})
+				ups = append(ups, fs.reserve(desired-current))
 			case desired < current && !suppressDownscale:
 				// Tear down surplus sandboxes, preferring ready ones last so
 				// that in-flight creations are cancelled first conceptually;
@@ -91,28 +88,47 @@ func (cp *ControlPlane) Reconcile() {
 				for _, sb := range victims {
 					delete(fs.sandboxes, sb.id)
 				}
-				actions = append(actions, action{kills: victims, fn: fs.fn})
+				if len(victims) > 0 {
+					kills = append(kills, victims...)
+					drained[fs.fn.Name] = true
+				}
 			}
 		}
 	})
 
+	cp.dispatchCreates(cp.placeScaleUps(ups), now)
+	cp.dispatchKills(kills)
+	cp.broadcastEndpointsBatch(sortedKeys(drained))
+}
+
+// scaleUp is one function's reserved scale-up: n creations already
+// counted in fs.placing, waiting for placeScaleUps.
+type scaleUp struct {
+	fs *functionState
+	fn core.Function
+	n  int
+}
+
+// reserve counts n creations in placing until placeSandbox places them.
+// Callers hold the function's shard lock and made the scaling decision
+// under it, so the decision and the reservation are one step.
+func (fs *functionState) reserve(n int) scaleUp {
+	fs.placing += n
+	return scaleUp{fs: fs, fn: fs.fn, n: n}
+}
+
+// placeScaleUps places every reserved creation and returns them staged
+// for dispatchCreates.
+func (cp *ControlPlane) placeScaleUps(ups []scaleUp) []*stagedCreate {
 	var staged []*stagedCreate
-	var kills []*sandboxState
-	drained := make(map[string]bool)
-	for _, a := range actions {
-		for i := 0; i < a.create; i++ {
-			if sc := cp.placeSandbox(a.fn); sc != nil {
+	for _, up := range ups {
+		for i := 0; i < up.n; i++ {
+			if sc := cp.placeSandbox(up.fs, up.fn); sc != nil {
 				staged = append(staged, sc)
 			}
 		}
-		kills = append(kills, a.kills...)
-		if len(a.kills) > 0 {
-			drained[a.fn.Name] = true
-		}
 	}
-	cp.dispatchCreates(staged, now)
-	cp.dispatchKills(kills)
-	cp.broadcastEndpointsBatch(sortedKeys(drained))
+	return staged
 }
 
 // stagedCreate is one placement decision awaiting RPC dispatch: the
@@ -124,14 +140,58 @@ type stagedCreate struct {
 	addr string
 }
 
-// placeSandbox places one new sandbox for fn and stages it for dispatch.
-// This is the latency-critical cold-start path: note the absence of any
-// persistent state update (design principle 2) and of any global lock —
-// the path reads worker shards one at a time, takes one worker's mutex,
-// and one function shard, so cold starts for unrelated functions proceed
-// in parallel with registrations and heartbeats on other shards. It
-// returns nil when placement fails or the function vanished.
-func (cp *ControlPlane) placeSandbox(fn core.Function) *stagedCreate {
+// placeSandbox places one of owner's reserved creations and stages it
+// for dispatch, turning the reservation into a creating sandbox (or
+// dropping it when placement fails). This is the latency-critical
+// cold-start path: note the absence of any persistent state update
+// (design principle 2) and of any global lock — the path reads worker
+// shards one at a time, takes one worker's mutex, and one function
+// shard, so cold starts for unrelated functions proceed in parallel with
+// registrations and heartbeats on other shards. It returns nil when
+// placement fails or the function vanished.
+func (cp *ControlPlane) placeSandbox(owner *functionState, fn core.Function) *stagedCreate {
+	nodeID, addr, ok := cp.chargeWorker(fn)
+	var id core.SandboxID
+	if ok {
+		id = core.SandboxID(cp.nextSandboxID.Add(1))
+	}
+	sh := cp.shardFor(fn.Name)
+	cp.lockShard(sh)
+	owner.placing--
+	fs := sh.fns[fn.Name]
+	if ok && fs != nil {
+		fs.sandboxes[id] = &sandboxState{
+			id:         id,
+			function:   fn.Name,
+			node:       nodeID,
+			workerAddr: addr,
+			phase:      phaseCreating,
+			createdAt:  cp.clk.Now(),
+		}
+	}
+	sh.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	if fs == nil {
+		// Function deregistered while we were placing: return the
+		// optimistic utilization chargeWorker took.
+		if w := cp.getWorker(nodeID); w != nil {
+			w.mu.Lock()
+			w.util.CPUMilliUsed -= fn.Scaling.CPUMilli
+			w.util.MemoryMBUsed -= fn.Scaling.MemoryMB
+			w.mu.Unlock()
+		}
+		return nil
+	}
+	cp.metrics.Counter("sandbox_creations_requested").Inc()
+	return &stagedCreate{id: id, fn: fn, addr: addr}
+}
+
+// chargeWorker picks a healthy worker for one sandbox of fn and charges
+// the sandbox's resources to it, so the placer sees the pending
+// allocation before the next heartbeat refresh.
+func (cp *ControlPlane) chargeWorker(fn core.Function) (core.NodeID, string, bool) {
 	candidates := make([]placement.NodeStatus, 0, cp.workerCount.Load())
 	cp.forEachWorkerShard(func(ws *workerShard) {
 		for _, w := range ws.workers {
@@ -152,55 +212,29 @@ func (cp *ControlPlane) placeSandbox(fn core.Function) *stagedCreate {
 	nodeID, err := cp.cfg.Placer.Place(candidates, req)
 	if err != nil {
 		cp.metrics.Counter("placement_failures").Inc()
-		return nil
+		return 0, "", false
 	}
-
 	w := cp.getWorker(nodeID)
 	if w == nil {
-		return nil
+		return 0, "", false
 	}
-	// Optimistically account the sandbox on the worker so that the placer
-	// sees the pending allocation before the next heartbeat refresh.
 	w.mu.Lock()
+	defer w.mu.Unlock()
 	if !w.healthy {
-		w.mu.Unlock()
-		return nil
+		return 0, "", false
 	}
 	w.util.CPUMilliUsed += fn.Scaling.CPUMilli
 	w.util.MemoryMBUsed += fn.Scaling.MemoryMB
-	addr := w.addr
-	w.mu.Unlock()
-
-	id := core.SandboxID(cp.nextSandboxID.Add(1))
-	placed := cp.withFunction(fn.Name, func(fs *functionState) {
-		fs.sandboxes[id] = &sandboxState{
-			id:         id,
-			function:   fn.Name,
-			node:       nodeID,
-			workerAddr: addr,
-			phase:      phaseCreating,
-			createdAt:  cp.clk.Now(),
-		}
-	})
-	if !placed {
-		// Function deregistered while we were placing: return the
-		// optimistic utilization we charged above.
-		w.mu.Lock()
-		w.util.CPUMilliUsed -= fn.Scaling.CPUMilli
-		w.util.MemoryMBUsed -= fn.Scaling.MemoryMB
-		w.mu.Unlock()
-		return nil
-	}
-	cp.metrics.Counter("sandbox_creations_requested").Inc()
-	return &stagedCreate{id: id, fn: fn, addr: addr}
+	return nodeID, w.addr, true
 }
 
-// dispatchCreates fans the sweep's staged creations out to their workers:
-// one CreateSandboxBatch RPC per worker (chunked at cfg.CreateBatch),
-// all workers in parallel. With CreateBatch=1 it degenerates to the
-// seed's one-RPC-per-sandbox pipeline for the ablation. sweepStart is
-// when the autoscale pass began; the gap to RPC dispatch is the control
-// plane's scheduling latency contribution (cold_start_sched_ms).
+// dispatchCreates fans staged creations out to their workers: one
+// CreateSandboxBatch RPC per worker (chunked at cfg.CreateBatch), all
+// workers in parallel. With CreateBatch=1 it degenerates to the seed's
+// one-RPC-per-sandbox pipeline for the ablation. sweepStart is when the
+// decision began: the autoscale pass's start, or on the scale-from-zero
+// path the metric report's arrival. The gap to RPC dispatch is the
+// control plane's scheduling latency contribution (cold_start_sched_ms).
 func (cp *ControlPlane) dispatchCreates(staged []*stagedCreate, sweepStart time.Time) {
 	if len(staged) == 0 {
 		return

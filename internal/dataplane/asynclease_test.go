@@ -271,8 +271,9 @@ func TestAsyncQuotaRejectsClientAccepts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dp.Stop()
-	pushFunction(t, tr, dp.Addr(), "f")
-	pushFunction(t, tr, dp.Addr(), "g")
+	// One list: each push replaces the whole function cache, and f must
+	// stay known so its first task parks in the cold-start queue.
+	pushFunction(t, tr, dp.Addr(), "f", "g")
 
 	accept := func(fn string) error {
 		req := proto.InvokeRequest{Function: fn, Async: true}

@@ -310,14 +310,25 @@ func observeAsyncKey(key string) {
 // fresh keys must never collide with a surviving record's key, including
 // records owned by other replicas sharing the store — a collision would
 // overwrite (or cross-settle) whichever task loses the race, silently
-// dropping an acknowledged invocation on the next crash.
+// dropping an acknowledged invocation on the next crash. The same scan
+// snapshots the records this replica recovers (see recoverAsync).
+//
+// In a store shared by several replicas, only records this replica owns
+// (key prefix "<own id>-") are recovered: live co-owners drain their
+// own, and a dead co-owner's are the lease manager's to reassign. Keys
+// in any other shape (hand-seeded or pre-owner-format records) have no
+// other owner to claim them, so they recover here.
 func (dp *DataPlane) observeAsyncKeys() {
 	if dp.cfg.AsyncStore == nil {
 		return
 	}
 	for _, hash := range dp.asyncStoreHashes() {
-		for key := range dp.cfg.AsyncStore.HGetAll(hash) {
+		for key, raw := range dp.cfg.AsyncStore.HGetAll(hash) {
 			observeAsyncKey(key)
+			if owner, ok := core.AsyncTaskOwner(key); ok && owner != dp.cfg.ID {
+				continue
+			}
+			dp.recovery = append(dp.recovery, asyncRecord{hash: hash, key: key, raw: raw})
 		}
 	}
 }
@@ -397,48 +408,51 @@ func (dp *DataPlane) asyncStoreHashes() []string {
 	return hashes
 }
 
+// asyncRecord is one durable record found when the replica started.
+type asyncRecord struct {
+	hash, key string
+	raw       []byte
+}
+
 // recoverAsync re-enqueues tasks that were durably accepted but not yet
-// settled when the previous replica incarnation crashed. Each task is
+// settled when the previous replica incarnation crashed: exactly the
+// records observeAsyncKeys snapshotted before the listener opened. A
+// task accepted after that is already admitted by acceptAsync, so
+// rescanning the store here would admit it a second time. Each task is
 // routed to the shard that owns its function under the current
 // configuration, regardless of which hash it was persisted under. It
 // runs as a background goroutine after the listener opens, admitting
 // with backpressure: a recovery backlog larger than the shard buffers
 // drains as dispatch frees space instead of overflowing — every
 // acknowledged task is dispatched in this incarnation, not the next one.
-//
-// In a store shared by several replicas, only records this replica owns
-// (key prefix "<own id>-") are recovered: live co-owners drain their
-// own, and a dead co-owner's are the lease manager's to reassign. Keys
-// in any other shape (hand-seeded or pre-owner-format records) have no
-// other owner to claim them, so they recover here.
 func (dp *DataPlane) recoverAsync() {
 	defer dp.wg.Done()
-	if dp.cfg.AsyncStore == nil {
-		return
-	}
-	for _, hash := range dp.asyncStoreHashes() {
-		for key, raw := range dp.cfg.AsyncStore.HGetAll(hash) {
-			if dp.stopped.Load() {
-				return
-			}
-			if owner, ok := core.AsyncTaskOwner(key); ok && owner != dp.cfg.ID {
-				continue
-			}
-			task, err := unmarshalAsyncTask(raw)
-			if err != nil {
-				// Unreadable record: drop it rather than crash-loop.
-				dp.cfg.AsyncStore.HDel(hash, key)
-				dp.metrics.Counter("async_recover_corrupt").Inc()
-				continue
-			}
-			task.storeKey = key
-			task.storeHash = hash
-			task.attempt = 0 // restart the retry budget after recovery
-			if !dp.asyncShardFor(task.function).admitBlocking(task) {
-				return
-			}
-			dp.metrics.Counter("async_recovered").Inc()
+	records := dp.recovery
+	dp.recovery = nil
+	for _, rec := range records {
+		if dp.stopped.Load() {
+			return
 		}
+		if _, ok := dp.cfg.AsyncStore.HGet(rec.hash, rec.key); !ok {
+			// Settled since the snapshot: a lessee ran it before this
+			// incarnation's registration fenced the lease out.
+			continue
+		}
+		task, err := unmarshalAsyncTask(rec.raw)
+		if err != nil {
+			// Unreadable record: drop it rather than crash-loop. A failed
+			// delete leaves it for the next restart to drop.
+			_ = dp.cfg.AsyncStore.HDel(rec.hash, rec.key)
+			dp.metrics.Counter("async_recover_corrupt").Inc()
+			continue
+		}
+		task.storeKey = rec.key
+		task.storeHash = rec.hash
+		task.attempt = 0 // restart the retry budget after recovery
+		if !dp.asyncShardFor(task.function).admitBlocking(task) {
+			return
+		}
+		dp.metrics.Counter("async_recovered").Inc()
 	}
 }
 

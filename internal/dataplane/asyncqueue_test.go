@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -375,5 +376,145 @@ func TestAsyncRecoveredKeyNotReused(t *testing.T) {
 	// Both the recovered and the new record must coexist durably.
 	if got := db.HLen(asyncQueueHash); got != 2 {
 		t.Fatalf("store holds %d records, want 2 (new key reused %q)", got, collidingKey)
+	}
+}
+
+// TestAsyncRecoveryAdmitsOnlyStartupRecords: recovery replays the
+// records present when the replica started, so a task accepted while
+// recovery is still scanning the store is admitted once, by its accept,
+// and runs exactly once. Recovery is held mid-scan by a startup backlog
+// larger than its shard's buffer, whose first task parks in the
+// cold-start queue until f gets an endpoint.
+func TestAsyncRecoveryAdmitsOnlyStartupRecords(t *testing.T) {
+	const shards = 2
+	shardOf := func(fn string) uint32 { return uint32(core.FunctionHash(fn)) % shards }
+	f, g, h := "f", "", ""
+	for i := 0; g == "" || h == ""; i++ {
+		name := fmt.Sprintf("fn%d", i)
+		switch {
+		case g == "" && shardOf(name) != shardOf(f):
+			g = name
+		case h == "" && shardOf(name) == shardOf(f):
+			h = name
+		}
+	}
+
+	// f's backlog sits in the seed hash, which recovery scans first; h's
+	// one record in a hash the index lists, which it scans last.
+	db := store.NewMemory()
+	backlog := seedAsyncQueueCap + 4
+	for i := 0; i < backlog; i++ {
+		db.HSet(asyncQueueHash, core.AsyncTaskKey(1, uint64(i+1)), marshalAsyncTask(asyncTask{function: f}))
+	}
+	db.HSet(asyncIndexHash, "late", []byte{1})
+	db.HSet("late", core.AsyncTaskKey(1, uint64(backlog+1)), marshalAsyncTask(asyncTask{function: h}))
+
+	tr := transport.NewInProc()
+	const dpAddr = "dp0:8000"
+	pushEndpoint := func(fn string) error {
+		update := proto.EndpointUpdate{Function: fn, Endpoints: []proto.SandboxInfo{{
+			ID: 1, Function: fn, Node: 1, Addr: "w1:9000", State: core.SandboxReady,
+		}}}
+		_, err := tr.Call(context.Background(), dpAddr, proto.MethodUpdateEndpoints, update.Marshal())
+		return err
+	}
+	// The control plane warms the replica's caches during registration,
+	// before recovery starts: all three functions, an endpoint for h only.
+	cpLn, err := tr.Listen("cp", func(method string, _ []byte) ([]byte, error) {
+		if method != proto.MethodRegisterDataPlane {
+			return nil, nil
+		}
+		var list proto.FunctionList
+		for _, name := range []string{f, g, h} {
+			list.Functions = append(list.Functions, core.Function{Name: name, Image: "img", Port: 80, Scaling: core.DefaultScalingConfig()})
+		}
+		if _, err := tr.Call(context.Background(), dpAddr, proto.MethodAddFunction, list.Marshal()); err != nil {
+			return nil, err
+		}
+		return nil, pushEndpoint(h)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cpLn.Close()
+	var mu sync.Mutex
+	runs := map[string]int{}
+	hostLn, err := tr.Listen("w1:9000", func(_ string, payload []byte) ([]byte, error) {
+		req, err := proto.UnmarshalInvokeSandboxRequest(payload)
+		if err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		runs[req.Function]++
+		mu.Unlock()
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hostLn.Close()
+	ran := func(fn string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return runs[fn]
+	}
+
+	dp := New(Config{
+		ID:             1,
+		Addr:           dpAddr,
+		Transport:      tr,
+		ControlPlanes:  []string{"cp"},
+		MetricInterval: time.Hour,
+		QueueTimeout:   30 * time.Second,
+		AsyncStore:     db,
+		AsyncShards:    shards,
+	})
+	if err := dp.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer dp.Stop()
+	recovered := func() int64 { return dp.metrics.Counter("async_recovered").Value() }
+	wait := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s (recovered %d, f ran %d, g ran %d, h ran %d)",
+					what, recovered(), ran(f), ran(g), ran(h))
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// One f task parked, f's shard full: recovery is blocked on f's
+	// next record and has not reached g's hash.
+	wait("recovery to block on f's full shard", func() bool {
+		return recovered() == seedAsyncQueueCap+1 && dp.asyncShardFor(f).pending() == seedAsyncQueueCap
+	})
+	// g's accept lands in g's shard hash mid-scan; its task parks in the
+	// cold-start queue, so its record stays unsettled while recovery
+	// scans that hash.
+	req := proto.InvokeRequest{Function: g, Async: true}
+	if _, err := tr.Call(context.Background(), dpAddr, proto.MethodInvoke, req.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	wait("g's task to park", func() bool { return dp.QueueDepth(g) == 1 })
+	if err := pushEndpoint(f); err != nil {
+		t.Fatal(err)
+	}
+	// h's record is recovered last, so once h has run, recovery has
+	// scanned every hash.
+	wait("h to run", func() bool { return ran(h) == 1 })
+	if got, want := recovered(), int64(backlog+1); got != want {
+		t.Fatalf("recovered %d tasks, want the %d present at start", got, want)
+	}
+	if err := pushEndpoint(g); err != nil {
+		t.Fatal(err)
+	}
+	wait("every task to settle", func() bool {
+		return dp.metrics.Counter("async_completed").Value() == int64(backlog+2) && dp.PendingAsync() == 0
+	})
+	if ran(f) != backlog || ran(g) != 1 || ran(h) != 1 {
+		t.Fatalf("runs: f %d (want %d), g %d, h %d (want 1 each)", ran(f), backlog, ran(g), ran(h))
 	}
 }

@@ -8,7 +8,8 @@
 //   - concurrency throttling, limiting the requests each sandbox processes
 //     in parallel,
 //   - load balancing across a function's ready sandboxes,
-//   - periodic reporting of scaling metrics to the control plane, and
+//   - reporting of scaling metrics to the control plane, periodically and
+//     at once when a function with no sandbox starts queueing, and
 //   - an asynchronous invocation queue with at-least-once retry semantics.
 //
 // Buffering requests in the data plane instead of per-sandbox sidecars is
@@ -56,6 +57,8 @@ type Config struct {
 	// Balancer picks sandboxes for invocations; nil selects least-loaded.
 	Balancer loadbalancer.Policy
 	// MetricInterval is the period of scaling-metric reports to the CP.
+	// A function that starts queueing with no endpoint is reported at
+	// once, without waiting for the period.
 	MetricInterval time.Duration
 	// HeartbeatInterval is the period of DP → CP liveness heartbeats;
 	// the control plane prunes replicas whose heartbeats stop from its
@@ -210,8 +213,18 @@ type DataPlane struct {
 	mInvokeWait      *telemetry.Histogram
 	mInvokeContended *telemetry.Counter
 
+	// kicks holds the runtimes awaiting a scale-from-zero report and
+	// kickCh (one token) wakes kickLoop to send it (see invoke.go).
+	kickMu      sync.Mutex
+	kicks       []*functionRuntime
+	kickCh      chan struct{}
+	mScaleKicks *telemetry.Counter
+
 	// asyncShards stripes the asynchronous queue (see asyncqueue.go).
+	// recovery holds the durable records found at Start until
+	// recoverAsync admits them.
 	asyncShards []*asyncShard
+	recovery    []asyncRecord
 
 	// queueEpoch is the async queue epoch the CP assigned this replica
 	// (registration/heartbeat acks); settles of own records are fenced
@@ -262,6 +275,7 @@ func New(cfg Config) *DataPlane {
 		asyncShards:   newAsyncShards(cfg.AsyncShards, cfg.AsyncFnQuota),
 		leases:        make(map[core.DataPlaneID]*heldLease),
 		leasedKeys:    make(map[string]bool),
+		kickCh:        make(chan struct{}, 1),
 		stopCh:        make(chan struct{}),
 	}
 	if !dp.snapshotPicks {
@@ -276,6 +290,7 @@ func New(cfg Config) *DataPlane {
 	dp.mPickRaces = dp.metrics.Counter("warm_pick_races")
 	dp.mInvokeWait = dp.metrics.Histogram("invoke_lock_wait_ms")
 	dp.mInvokeContended = dp.metrics.Counter("invoke_lock_contended")
+	dp.mScaleKicks = dp.metrics.Counter("scale_from_zero_kicks")
 	return dp
 }
 
@@ -302,8 +317,10 @@ func (dp *DataPlane) Start() error {
 	// Raise the store-key high-water mark past every durable record
 	// before the listener opens: a new acceptance racing ahead of this
 	// could mint a colliding key and overwrite an acknowledged task's
-	// only durable record. The replay itself runs in the background
-	// (recoverAsync) once dispatch loops exist to apply backpressure.
+	// only durable record. The same scan snapshots the records to
+	// replay, so no acceptance after this point is replayed too; the
+	// replay itself runs in the background (recoverAsync) once dispatch
+	// loops exist to apply backpressure.
 	dp.observeAsyncKeys()
 	ln, err := dp.cfg.Transport.Listen(dp.cfg.Addr, dp.handleRPC)
 	if err != nil {
@@ -335,8 +352,9 @@ func (dp *DataPlane) Start() error {
 	// fencing out any lessee still draining records from a previous
 	// incarnation (asynclease.go).
 	dp.adoptEpochAck(resp)
-	dp.wg.Add(3 + len(dp.asyncShards))
+	dp.wg.Add(4 + len(dp.asyncShards))
 	go dp.metricLoop()
+	go dp.kickLoop()
 	go dp.heartbeatLoop()
 	go dp.recoverAsync()
 	for _, sh := range dp.asyncShards {

@@ -107,11 +107,16 @@ func testDP(t *testing.T, tr *transport.InProc) *DataPlane {
 	return dp
 }
 
-func pushFunction(t *testing.T, tr *transport.InProc, dpAddr, name string) {
+// pushFunction pushes a full function list holding names: like the
+// control plane's push, it drops every function not named.
+func pushFunction(t *testing.T, tr *transport.InProc, dpAddr string, names ...string) {
 	t.Helper()
-	list := proto.FunctionList{Functions: []core.Function{{
-		Name: name, Image: "img", Port: 80, Scaling: core.DefaultScalingConfig(),
-	}}}
+	var list proto.FunctionList
+	for _, name := range names {
+		list.Functions = append(list.Functions, core.Function{
+			Name: name, Image: "img", Port: 80, Scaling: core.DefaultScalingConfig(),
+		})
+	}
 	if _, err := tr.Call(context.Background(), dpAddr, proto.MethodAddFunction, list.Marshal()); err != nil {
 		t.Fatal(err)
 	}

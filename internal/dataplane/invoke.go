@@ -108,14 +108,23 @@ func (dp *DataPlane) invokeSync(function string, payload []byte) ([]byte, error)
 			return nil, fmt.Errorf("%w %q", errUnknownFunction, function)
 		}
 	}
+	wasEmpty := len(fr.queue) == 0
 	fr.queue = append(fr.queue, p)
 	fr.queued.Add(1)
 	// Re-pump under the lock: a slot may have freed between the failed
 	// warm pick and the enqueue, and that release may have observed an
 	// empty queue (lost-wakeup guard).
 	work := dp.pumpLocked(fr)
+	// Scale from zero: the invocation that starts a queue for a function
+	// with no endpoint tells the control plane at once instead of waiting
+	// for the next periodic report. Later arrivals join the queue the
+	// kick already announced.
+	kick := wasEmpty && len(fr.queue) > 0 && len(fr.snap.Load().eps) == 0
 	fr.mu.Unlock()
 	dp.mColdStarts.Inc()
+	if kick {
+		dp.kickScaleFromZero(fr)
+	}
 	dp.runDispatches(work)
 
 	select {
@@ -539,6 +548,47 @@ func (dp *DataPlane) metricLoop() {
 	}
 }
 
+// kickScaleFromZero queues fr for kickLoop's next report and wakes it.
+// The wake-up channel holds one token: while a report is in flight,
+// every kick that arrives shares the next one, so a burst of cold
+// functions costs one RPC per round trip, not one per function.
+func (dp *DataPlane) kickScaleFromZero(fr *functionRuntime) {
+	dp.kickMu.Lock()
+	dp.kicks = append(dp.kicks, fr)
+	dp.kickMu.Unlock()
+	dp.mScaleKicks.Inc()
+	select {
+	case dp.kickCh <- struct{}{}:
+	default:
+	}
+}
+
+// kickLoop sends the scale-from-zero reports kickScaleFromZero asks for,
+// one at a time. Each report carries the current metrics of the kicked
+// functions that still have invocations queued.
+func (dp *DataPlane) kickLoop() {
+	defer dp.wg.Done()
+	for {
+		select {
+		case <-dp.stopCh:
+			return
+		case <-dp.kickCh:
+		}
+		dp.kickMu.Lock()
+		kicked := dp.kicks
+		dp.kicks = nil
+		dp.kickMu.Unlock()
+		now := dp.clk.Now()
+		report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID}
+		for _, fr := range kicked {
+			if fr.queued.Load() > 0 {
+				report.Metrics = append(report.Metrics, scalingMetric(fr, now))
+			}
+		}
+		dp.sendReport(&report)
+	}
+}
+
 // reportMetrics collects in-flight plus queued requests per function.
 // It reads only published snapshots and atomic counters — a report never
 // stalls the invoke path.
@@ -546,26 +596,38 @@ func (dp *DataPlane) reportMetrics() {
 	now := dp.clk.Now()
 	report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID}
 	for _, sh := range dp.shards {
-		for name, fr := range sh.fns.load() {
-			snap := fr.snap.Load()
-			inFlight := 0
-			for i := range snap.eps {
-				inFlight += int(snap.eps[i].InFlight.Load())
-			}
-			report.Metrics = append(report.Metrics, core.ScalingMetric{
-				Function:   name,
-				InFlight:   inFlight,
-				QueueDepth: int(fr.queued.Load()),
-				At:         now,
-			})
+		for _, fr := range sh.fns.load() {
+			report.Metrics = append(report.Metrics, scalingMetric(fr, now))
 		}
 	}
+	dp.sendReport(&report)
+}
+
+// scalingMetric reads one function's in-flight and queued invocations.
+func scalingMetric(fr *functionRuntime, now time.Time) core.ScalingMetric {
+	snap := fr.snap.Load()
+	inFlight := 0
+	for i := range snap.eps {
+		inFlight += int(snap.eps[i].InFlight.Load())
+	}
+	return core.ScalingMetric{
+		Function:   fr.name,
+		InFlight:   inFlight,
+		QueueDepth: int(fr.queued.Load()),
+		At:         now,
+	}
+}
+
+// sendReport delivers a non-empty report to the control plane leader.
+// Delivery is best effort: a lost report delays scaling until the next
+// periodic one, whose queue depths re-announce any function still
+// waiting to scale from zero.
+func (dp *DataPlane) sendReport(report *proto.ScalingMetricReport) {
 	if len(report.Metrics) == 0 {
 		return
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), dp.cfg.MetricInterval*4)
 	defer cancel()
-	// Best effort: a missed report only delays autoscaling by one period.
 	_, _ = dp.cp.Call(ctx, proto.MethodScalingMetric, report.Marshal())
 }
 
