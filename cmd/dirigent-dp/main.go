@@ -27,7 +27,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8000", "address to listen on")
 	id := flag.Int("id", 1, "data plane replica ID")
 	cps := flag.String("control-planes", "127.0.0.1:7000", "comma-separated control plane addresses")
-	metricInterval := flag.Duration("metric-interval", 250*time.Millisecond, "scaling metric report period")
+	metricInterval := flag.Duration("metric-interval", 250*time.Millisecond, "scaling metric report period: each report carries only busy functions (none is sent while all are idle), and the CP holds a reported value for about three periods")
 	hbInterval := flag.Duration("heartbeat-interval", 250*time.Millisecond, "DP → CP liveness heartbeat period (the CP prunes silent replicas from its fan-out set)")
 	queueTimeout := flag.Duration("queue-timeout", 60*time.Second, "cold-start queue timeout")
 	policy := flag.String("lb-policy", "least-loaded", "load balancing policy: least-loaded | round-robin | random | ch-rlu")

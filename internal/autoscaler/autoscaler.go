@@ -174,76 +174,3 @@ func (a *FunctionAutoscaler) InPanic() bool {
 	defer a.mu.Unlock()
 	return a.panicMode
 }
-
-// Manager aggregates the autoscalers of all registered functions and is
-// driven by the control plane's asynchronous autoscaling loop (paper §4).
-type Manager struct {
-	mu        sync.Mutex
-	functions map[string]*FunctionAutoscaler
-}
-
-// NewManager returns an empty autoscaler manager.
-func NewManager() *Manager {
-	return &Manager{functions: make(map[string]*FunctionAutoscaler)}
-}
-
-// Add registers a function; replaces any existing autoscaler for the name.
-func (m *Manager) Add(name string, cfg core.ScalingConfig) {
-	m.mu.Lock()
-	m.functions[name] = New(cfg)
-	m.mu.Unlock()
-}
-
-// Remove deregisters a function.
-func (m *Manager) Remove(name string) {
-	m.mu.Lock()
-	delete(m.functions, name)
-	m.mu.Unlock()
-}
-
-// Get returns the autoscaler for name, or nil.
-func (m *Manager) Get(name string) *FunctionAutoscaler {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.functions[name]
-}
-
-// Record feeds one scaling metric into the right autoscaler. Unknown
-// functions are ignored (e.g. metrics racing a deregistration).
-func (m *Manager) Record(metric core.ScalingMetric) {
-	m.mu.Lock()
-	a := m.functions[metric.Function]
-	m.mu.Unlock()
-	if a != nil {
-		a.Record(metric.At, float64(metric.InFlight+metric.QueueDepth))
-	}
-}
-
-// Decide returns the desired scale for every function, given current
-// ready counts. currentScale may omit functions with zero sandboxes.
-func (m *Manager) Decide(now time.Time, currentScale map[string]int) map[string]int {
-	m.mu.Lock()
-	names := make([]string, 0, len(m.functions))
-	scalers := make([]*FunctionAutoscaler, 0, len(m.functions))
-	for name, a := range m.functions {
-		names = append(names, name)
-		scalers = append(scalers, a)
-	}
-	m.mu.Unlock()
-	out := make(map[string]int, len(names))
-	for i, name := range names {
-		out[name] = scalers[i].Desired(now, currentScale[name])
-	}
-	return out
-}
-
-// Functions returns the registered function names.
-func (m *Manager) Functions() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.functions))
-	for name := range m.functions {
-		out = append(out, name)
-	}
-	return out
-}

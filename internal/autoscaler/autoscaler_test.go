@@ -152,31 +152,6 @@ func TestQuickDesiredBounds(t *testing.T) {
 	}
 }
 
-func TestManagerLifecycle(t *testing.T) {
-	m := NewManager()
-	m.Add("f1", cfg())
-	m.Add("f2", cfg())
-	if len(m.Functions()) != 2 {
-		t.Fatalf("Functions = %v", m.Functions())
-	}
-	m.Record(core.ScalingMetric{Function: "f1", InFlight: 3, QueueDepth: 2, At: t0})
-	m.Record(core.ScalingMetric{Function: "ghost", InFlight: 9, At: t0}) // ignored
-	decisions := m.Decide(t0.Add(time.Second), map[string]int{"f1": 0})
-	if decisions["f1"] < 1 {
-		t.Errorf("f1 desired = %d, want >= 1", decisions["f1"])
-	}
-	if decisions["f2"] != 0 {
-		t.Errorf("f2 desired = %d, want 0", decisions["f2"])
-	}
-	m.Remove("f1")
-	if m.Get("f1") != nil {
-		t.Errorf("Get after Remove should be nil")
-	}
-	if m.Get("f2") == nil {
-		t.Errorf("f2 disappeared")
-	}
-}
-
 func TestWindowGC(t *testing.T) {
 	c := cfg()
 	c.StableWindow = 5 * time.Second

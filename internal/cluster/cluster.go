@@ -87,6 +87,12 @@ type Options struct {
 	// AsyncLeaseDisabled turns off lease failover of dead replicas'
 	// async records (ablation: persisted tasks wait for a restart).
 	AsyncLeaseDisabled bool
+	// RaftElectionMin / RaftElectionMax bound the CP replicas' election
+	// timeouts (zero selects the control plane's in-process defaults,
+	// 8-16 ms). Tests that assume one leader throughout raise them so
+	// scheduling stalls cannot trigger a spurious failover.
+	RaftElectionMin time.Duration
+	RaftElectionMax time.Duration
 	// CPFollowerReads lets CP followers serve read-only RPCs
 	// (ListDataPlanes, ListFunctions) from their applied store, so the
 	// leader's RPC load drops to writes. Only meaningful with
@@ -266,6 +272,8 @@ func (c *Cluster) newControlPlane(i int, rejoin bool) *controlplane.ControlPlane
 		AsyncLeaseDisabled:  opts.AsyncLeaseDisabled,
 		LocalStore:          c.stores[i],
 		Metrics:             c.Metrics,
+		RaftElectionMin:     opts.RaftElectionMin,
+		RaftElectionMax:     opts.RaftElectionMax,
 	}
 	if len(c.cpAddrs) > 1 {
 		cfg.FollowerReads = opts.CPFollowerReads

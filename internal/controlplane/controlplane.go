@@ -247,8 +247,11 @@ type sandboxState struct {
 // functionState is all per-function control plane state. It is guarded by
 // the lock of the shard the function hashes to.
 type functionState struct {
-	fn        core.Function
-	scaler    *autoscaler.FunctionAutoscaler
+	fn     core.Function
+	scaler *autoscaler.FunctionAutoscaler
+	// load holds the data planes' reported concurrency; the sweep feeds
+	// its mean to scaler (see load.go).
+	load      functionLoad
 	sandboxes map[core.SandboxID]*sandboxState
 	// placing counts creations a scaling decision has reserved but not
 	// yet placed. It counts as creating, so the sweep and the
@@ -909,44 +912,44 @@ func (cp *ControlPlane) handleListFunctions() ([]byte, error) {
 	return list.Marshal(), nil
 }
 
-// handleScalingMetric feeds data plane concurrency reports into the
-// per-function autoscalers. Only the shard of each reported function is
-// locked, and only long enough to look up the scaler and, for a function
-// with queued invocations, to decide a scale from zero.
+// handleScalingMetric applies a data plane's concurrency report: each
+// entry replaces that data plane's held value for the function (see
+// functionLoad), under the function's shard lock. The autoscaler sees
+// none of it until the sweep records the load's mean, except in two
+// cases, which record the function's current load summed over data
+// planes at once: a one-off report (Interval 0), and a scale from zero.
 //
-// It also scales from zero: a function reported with queued invocations
-// and no ready or creating sandbox gets the sweep's own scale-up on
-// arrival, and the report's creations share one dispatchCreates, so they
-// still batch per worker. A cold invocation therefore waits for neither
-// the next autoscale sweep nor, since the data plane sends such a report
-// at once, the next periodic report.
+// A function reported with queued invocations and no ready or creating
+// sandbox scales from zero on arrival with the sweep's own scale-up, and
+// the report's creations share one dispatchCreates, so they batch per
+// worker and honour CreateBatch. Deciding and reserving under the shard
+// lock makes the decision atomic against a concurrent Reconcile, which
+// decides under the same lock and counts the reservation as creating.
 func (cp *ControlPlane) handleScalingMetric(payload []byte) ([]byte, error) {
 	report, err := proto.UnmarshalScalingMetricReport(payload)
 	if err != nil {
 		return nil, err
 	}
 	now := cp.clk.Now()
+	ttl := loadTTLPeriods * report.Interval
 	var ups []scaleUp
 	for _, m := range report.Metrics {
-		var scaler *autoscaler.FunctionAutoscaler
 		cp.withFunction(m.Function, func(fs *functionState) {
-			scaler = fs.scaler
-		})
-		if scaler == nil {
-			continue
-		}
-		// The scaler is internally synchronized; recording outside the
-		// shard lock keeps metric floods off the sandbox paths.
-		scaler.Record(now, float64(m.InFlight+m.QueueDepth))
-		if m.QueueDepth > 0 {
-			cp.withFunction(m.Function, func(fs *functionState) {
-				if ready, creating := fs.counts(); ready+creating == 0 {
-					if desired := fs.scaler.Desired(now, 0); desired > 0 {
-						ups = append(ups, fs.reserve(desired))
-					}
+			load := fs.load.report(report.DataPlane, float64(m.InFlight+m.QueueDepth), ttl, now)
+			fromZero := false
+			if m.QueueDepth > 0 {
+				ready, creating := fs.counts()
+				fromZero = ready+creating == 0
+			}
+			if ttl == 0 || fromZero {
+				fs.scaler.Record(now, load)
+			}
+			if fromZero {
+				if desired := fs.scaler.Desired(now, 0); desired > 0 {
+					ups = append(ups, fs.reserve(desired))
 				}
-			})
-		}
+			}
+		})
 	}
 	cp.dispatchCreates(cp.placeScaleUps(ups), now)
 	return nil, nil

@@ -33,6 +33,9 @@ type fakeWorker struct {
 	addr      string
 	tr        *transport.InProc
 	cpAddr    string
+
+	// hold, when set, blocks every sandbox invocation until it closes.
+	hold chan struct{}
 }
 
 func startFakeWorker(t *testing.T, tr *transport.InProc, cpAddr string, node core.NodeID, addr string, autoReady bool) *fakeWorker {
@@ -81,6 +84,14 @@ func startFakeWorker(t *testing.T, tr *transport.InProc, cpAddr string, node cor
 			w.killed = append(w.killed, batch.IDs...)
 			w.batchKillRPCs++
 			w.mu.Unlock()
+			return nil, nil
+		case proto.MethodInvokeSandbox:
+			w.mu.Lock()
+			hold := w.hold
+			w.mu.Unlock()
+			if hold != nil {
+				<-hold
+			}
 			return nil, nil
 		case proto.MethodListSandboxes:
 			w.mu.Lock()

@@ -42,6 +42,10 @@ func (cp *ControlPlane) autoscaleLoop() {
 // the experiment harness can drive scaling deterministically instead of
 // waiting for ticker periods.
 //
+// Each function's autoscaler gets one sample per sweep, recorded just
+// before the decision: the mean of the function's reported load since
+// the previous sweep (see functionLoad).
+//
 // The sweep iterates shard by shard, holding only one shard's lock while
 // it snapshots that shard's scaling decisions; sandbox transitions and
 // metric reports for functions in other shards proceed concurrently with
@@ -66,6 +70,7 @@ func (cp *ControlPlane) Reconcile() {
 		for _, fs := range sh.fns {
 			ready, creating := fs.counts()
 			current := ready + creating
+			fs.scaler.Record(now, fs.load.sweep(now))
 			desired := fs.scaler.Desired(now, current)
 			switch {
 			case desired > current:

@@ -57,8 +57,12 @@ type Config struct {
 	// Balancer picks sandboxes for invocations; nil selects least-loaded.
 	Balancer loadbalancer.Policy
 	// MetricInterval is the period of scaling-metric reports to the CP.
-	// A function that starts queueing with no endpoint is reported at
-	// once, without waiting for the period.
+	// A report carries only the functions with in-flight or queued
+	// invocations (plus one zero for each that just went idle), and none
+	// is sent while every function is idle. A function that starts
+	// queueing with no endpoint triggers a report at once, without
+	// waiting for the period. The CP holds each reported value for about
+	// three periods.
 	MetricInterval time.Duration
 	// HeartbeatInterval is the period of DP → CP liveness heartbeats;
 	// the control plane prunes replicas whose heartbeats stop from its
@@ -174,6 +178,11 @@ type functionRuntime struct {
 	// Lock-free:
 	queued atomic.Int32 // len(queue) mirror, read by slot release
 	snap   atomic.Pointer[endpointSnapshot]
+
+	// reportedBusy is owned by metricLoop: whether the last report the
+	// control plane received carried a non-zero entry for this function,
+	// so the first idle report after it must carry a zero.
+	reportedBusy bool
 }
 
 // DataPlane is one data plane replica.
@@ -213,10 +222,8 @@ type DataPlane struct {
 	mInvokeWait      *telemetry.Histogram
 	mInvokeContended *telemetry.Counter
 
-	// kicks holds the runtimes awaiting a scale-from-zero report and
-	// kickCh (one token) wakes kickLoop to send it (see invoke.go).
-	kickMu      sync.Mutex
-	kicks       []*functionRuntime
+	// kickCh (one token) wakes metricLoop to report at once when a
+	// function starts queueing with no endpoint (see invoke.go).
 	kickCh      chan struct{}
 	mScaleKicks *telemetry.Counter
 
@@ -352,9 +359,8 @@ func (dp *DataPlane) Start() error {
 	// fencing out any lessee still draining records from a previous
 	// incarnation (asynclease.go).
 	dp.adoptEpochAck(resp)
-	dp.wg.Add(4 + len(dp.asyncShards))
+	dp.wg.Add(3 + len(dp.asyncShards))
 	go dp.metricLoop()
-	go dp.kickLoop()
 	go dp.heartbeatLoop()
 	go dp.recoverAsync()
 	for _, sh := range dp.asyncShards {

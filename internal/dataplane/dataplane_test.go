@@ -19,6 +19,8 @@ type fakeCP struct {
 	mu      sync.Mutex
 	reports []proto.ScalingMetricReport
 	regs    []core.DataPlane
+	// dropReports fails that many upcoming metric reports.
+	dropReports int
 }
 
 func startFakeCP(t *testing.T, tr *transport.InProc, addr string) *fakeCP {
@@ -35,6 +37,10 @@ func startFakeCP(t *testing.T, tr *transport.InProc, addr string) *fakeCP {
 			}
 			cp.regs = append(cp.regs, req.DataPlane)
 		case proto.MethodScalingMetric:
+			if cp.dropReports > 0 {
+				cp.dropReports--
+				return nil, fmt.Errorf("metric report dropped")
+			}
 			rep, err := proto.UnmarshalScalingMetricReport(payload)
 			if err != nil {
 				return nil, err

@@ -123,7 +123,7 @@ func (dp *DataPlane) invokeSync(function string, payload []byte) ([]byte, error)
 	fr.mu.Unlock()
 	dp.mColdStarts.Inc()
 	if kick {
-		dp.kickScaleFromZero(fr)
+		dp.kickScaleFromZero()
 	}
 	dp.runDispatches(work)
 
@@ -533,29 +533,30 @@ func (dp *DataPlane) sendHeartbeat() {
 	}
 }
 
-// metricLoop periodically reports per-function scaling metrics to the
-// control plane (paper Table 2). The period is driven by the injected
-// clock so simulated-time tests don't burn wall time.
+// metricLoop sends every scaling-metric report to the control plane
+// (paper Table 2), one at a time and in order: one each MetricInterval on
+// the injected clock, and one at once whenever a kick arrives. The
+// period keeps its own timer, so kicks never postpone a periodic report.
 func (dp *DataPlane) metricLoop() {
 	defer dp.wg.Done()
+	tick := dp.clk.After(dp.cfg.MetricInterval)
 	for {
 		select {
 		case <-dp.stopCh:
 			return
-		case <-dp.clk.After(dp.cfg.MetricInterval):
-			dp.reportMetrics()
+		case <-tick:
+			tick = dp.clk.After(dp.cfg.MetricInterval)
+		case <-dp.kickCh:
 		}
+		dp.reportMetrics()
 	}
 }
 
-// kickScaleFromZero queues fr for kickLoop's next report and wakes it.
-// The wake-up channel holds one token: while a report is in flight,
-// every kick that arrives shares the next one, so a burst of cold
-// functions costs one RPC per round trip, not one per function.
-func (dp *DataPlane) kickScaleFromZero(fr *functionRuntime) {
-	dp.kickMu.Lock()
-	dp.kicks = append(dp.kicks, fr)
-	dp.kickMu.Unlock()
+// kickScaleFromZero wakes metricLoop to report now. The wake-up channel
+// holds one token: while a report is in flight, every kick that arrives
+// shares the next one, so a burst of cold functions costs one RPC per
+// round trip, not one per function.
+func (dp *DataPlane) kickScaleFromZero() {
 	dp.mScaleKicks.Inc()
 	select {
 	case dp.kickCh <- struct{}{}:
@@ -563,44 +564,33 @@ func (dp *DataPlane) kickScaleFromZero(fr *functionRuntime) {
 	}
 }
 
-// kickLoop sends the scale-from-zero reports kickScaleFromZero asks for,
-// one at a time. Each report carries the current metrics of the kicked
-// functions that still have invocations queued.
-func (dp *DataPlane) kickLoop() {
-	defer dp.wg.Done()
-	for {
-		select {
-		case <-dp.stopCh:
-			return
-		case <-dp.kickCh:
-		}
-		dp.kickMu.Lock()
-		kicked := dp.kicks
-		dp.kicks = nil
-		dp.kickMu.Unlock()
-		now := dp.clk.Now()
-		report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID}
-		for _, fr := range kicked {
-			if fr.queued.Load() > 0 {
-				report.Metrics = append(report.Metrics, scalingMetric(fr, now))
-			}
-		}
-		dp.sendReport(&report)
-	}
-}
-
-// reportMetrics collects in-flight plus queued requests per function.
+// reportMetrics sends the in-flight plus queued requests of every busy
+// function, and one zero for each function that went idle since the last
+// report the control plane received; an idle data plane sends nothing.
 // It reads only published snapshots and atomic counters — a report never
-// stalls the invoke path.
+// stalls the invoke path. Only metricLoop calls it, so it owns each
+// runtime's reportedBusy flag, which it updates once delivery succeeds:
+// a lost zero is re-sent by the next report.
 func (dp *DataPlane) reportMetrics() {
 	now := dp.clk.Now()
-	report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID}
+	report := proto.ScalingMetricReport{DataPlane: dp.cfg.ID, Interval: dp.cfg.MetricInterval}
+	var reported []*functionRuntime
 	for _, sh := range dp.shards {
 		for _, fr := range sh.fns.load() {
-			report.Metrics = append(report.Metrics, scalingMetric(fr, now))
+			m := scalingMetric(fr, now)
+			if m.InFlight+m.QueueDepth == 0 && !fr.reportedBusy {
+				continue
+			}
+			report.Metrics = append(report.Metrics, m)
+			reported = append(reported, fr)
 		}
 	}
-	dp.sendReport(&report)
+	if len(reported) == 0 || dp.sendReport(&report) != nil {
+		return
+	}
+	for i, fr := range reported {
+		fr.reportedBusy = report.Metrics[i].InFlight+report.Metrics[i].QueueDepth > 0
+	}
 }
 
 // scalingMetric reads one function's in-flight and queued invocations.
@@ -618,17 +608,15 @@ func scalingMetric(fr *functionRuntime, now time.Time) core.ScalingMetric {
 	}
 }
 
-// sendReport delivers a non-empty report to the control plane leader.
-// Delivery is best effort: a lost report delays scaling until the next
-// periodic one, whose queue depths re-announce any function still
-// waiting to scale from zero.
-func (dp *DataPlane) sendReport(report *proto.ScalingMetricReport) {
-	if len(report.Metrics) == 0 {
-		return
-	}
+// sendReport delivers a report to the control plane leader. Delivery is
+// best effort: a lost report delays scaling until the next one, which
+// re-announces every function still busy and every zero not yet
+// delivered.
+func (dp *DataPlane) sendReport(report *proto.ScalingMetricReport) error {
 	ctx, cancel := context.WithTimeout(context.Background(), dp.cfg.MetricInterval*4)
 	defer cancel()
-	_, _ = dp.cp.Call(ctx, proto.MethodScalingMetric, report.Marshal())
+	_, err := dp.cp.Call(ctx, proto.MethodScalingMetric, report.Marshal())
+	return err
 }
 
 // QueueDepth reports the number of buffered invocations for a function.

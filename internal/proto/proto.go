@@ -349,9 +349,18 @@ func UnmarshalEndpointUpdateBatch(b []byte) (*EndpointUpdateBatch, error) {
 }
 
 // ScalingMetricReport batches per-function scaling metrics from a DP.
+// A periodic report carries only the functions with in-flight or queued
+// invocations, plus one zero entry for each function that went idle
+// since the DP's last delivered report; a function it omits counts as
+// idle on that DP once the CP's held value for it expires.
 type ScalingMetricReport struct {
 	DataPlane core.DataPlaneID
 	Metrics   []core.ScalingMetric
+	// Interval is the sender's report period. The CP holds each entry
+	// for a few periods, so a busy function stays counted between
+	// reports and a DP that falls silent stops counting on its own. 0
+	// marks a one-off report whose entries count once, on arrival.
+	Interval time.Duration
 }
 
 // Marshal encodes the report.
@@ -366,6 +375,7 @@ func (m *ScalingMetricReport) Marshal() []byte {
 		e.I64(int64(mm.QueueDepth))
 		e.I64(mm.At.UnixNano())
 	}
+	e.I64(int64(m.Interval))
 	return e.Bytes()
 }
 
@@ -383,6 +393,7 @@ func UnmarshalScalingMetricReport(b []byte) (*ScalingMetricReport, error) {
 		mm.At = time.Unix(0, d.I64())
 		m.Metrics = append(m.Metrics, mm)
 	}
+	m.Interval = time.Duration(d.I64())
 	return m, wrap(d.Err(), "ScalingMetricReport")
 }
 

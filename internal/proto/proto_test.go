@@ -100,12 +100,13 @@ func TestScalingMetricReportRoundTrip(t *testing.T) {
 			{Function: "f1", InFlight: 3, QueueDepth: 2, At: at},
 			{Function: "f2", InFlight: 0, QueueDepth: 0, At: at.Add(time.Second)},
 		},
+		Interval: 250 * time.Millisecond,
 	}
 	got, err := UnmarshalScalingMetricReport(m.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DataPlane != 7 || len(got.Metrics) != 2 {
+	if got.DataPlane != 7 || len(got.Metrics) != 2 || got.Interval != m.Interval {
 		t.Fatalf("round trip: %+v", got)
 	}
 	for i := range m.Metrics {

@@ -29,6 +29,14 @@ func liveCluster(t *testing.T) *cluster.Cluster {
 		MetricInterval:    10 * time.Millisecond,
 		NoDownscaleWindow: 100 * time.Millisecond,
 		QueueTimeout:      5 * time.Second,
+		// One CP leader throughout. With the 8-16 ms in-process election
+		// timeouts a scheduling stall can elect a new leader mid-test,
+		// which rebuilds sandbox state without the killed worker's
+		// sandboxes and re-places them before its own health sweep
+		// fails that worker: the drain test then finishes with
+		// worker_failures_detected still 0.
+		RaftElectionMin: 150 * time.Millisecond,
+		RaftElectionMax: 300 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
